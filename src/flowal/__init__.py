@@ -19,7 +19,6 @@ from .dataset import (
     Dataset,
     DriftSpec,
     FeatureSchema,
-    FlowRecord,
     IngestionConfig,
     Scaler,
     SyntheticSpec,

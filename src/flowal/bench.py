@@ -37,10 +37,11 @@ from .engine import (
     Oracle,
     PoolState,
     StoppingCriteria,
+    holdout_split,
     oracle_label,
     run_pool_loop,
 )
-from .errors import ConfigError, EmptyReport
+from .errors import ConfigError, EmptyReport, InvalidPool
 from .forest import ForestParams, evaluate_accuracy, fit_forest
 from .metrics import TimingRecord, tar, ttr
 from .rng import derive_seed, make_rng
@@ -129,7 +130,8 @@ class ExperimentConfig:
             raise ConfigError(f"{FULL_BASELINE_NAME!r} is reserved for the baseline")
 
 
-def _load_source(source) -> Dataset:
+def load_source(source: Union[CsvSource, SyntheticSpec]) -> Dataset:
+    """Read a CSV source or generate a synthetic one."""
     if isinstance(source, SyntheticSpec):
         return generate_synthetic(source)
     return load_csv(source.path, source.ingestion)
@@ -144,18 +146,15 @@ def run_experiment(config: ExperimentConfig,
     fields depend on the machine.
     """
     clock = clock or time.perf_counter
-    dataset = _load_source(config.source)
+    dataset = load_source(config.source)
     n = len(dataset)
     n_classes = dataset.schema.n_classes
     rows: List[ExperimentRow] = []
     for seed in config.seeds:
-        perm = np.arange(n)
-        make_rng(seed, 10).shuffle(perm)
-        n_test = round_half_up(config.test_fraction * n)
-        if not 0 < n_test < n:
-            raise ConfigError("test split leaves no training pool")
-        test_idx = perm[:n_test]
-        pool_idx = perm[n_test:]
+        try:
+            test_idx, pool_idx = holdout_split(n, config.test_fraction, seed)
+        except InvalidPool as exc:
+            raise ConfigError(str(exc)) from None
         oracle = Oracle(dataset, noise_rate=config.oracle_noise, seed=seed)
 
         t0 = clock()

@@ -29,6 +29,7 @@ from .bench import (
     ExperimentConfig,
     emit_report,
     load_rows,
+    load_source,
     run_experiment,
 )
 from .dataset import (
@@ -36,7 +37,6 @@ from .dataset import (
     IngestionConfig,
     SyntheticSpec,
     generate_synthetic,
-    load_csv,
     round_half_up,
     shuffle_and_subset,
 )
@@ -362,11 +362,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stream(args) -> int:
     cfg = _load_config(args.config)
-    source = _source(cfg, args.seed)
-    if isinstance(source, CsvSource):
-        dataset = load_csv(source.path, source.ingestion)
-    else:
-        dataset = generate_synthetic(source)
+    dataset = load_source(_source(cfg, args.seed))
     seed = args.seed if args.seed is not None else cfg.int_list("seeds")[0]
     test, stream = shuffle_and_subset(dataset, cfg.float_("test_fraction"), seed)
     budget = cfg.int_("stream.budget")

@@ -62,14 +62,6 @@ class FeatureSchema:
         return len(self.class_names)
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One flow instance: a finite feature vector and a class index."""
-
-    features: np.ndarray
-    label: int
-
-
 class Dataset:
     """Immutable ordered collection of flow records under one schema.
 
@@ -107,13 +99,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def record(self, i: int) -> FlowRecord:
-        return FlowRecord(self.features[i], int(self.labels[i]))
-
-    @property
-    def records(self):
-        return [self.record(i) for i in range(len(self))]
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -71,23 +71,29 @@ class PoolState:
             raise InvalidPool("pool index outside the dataset")
 
 
+def holdout_split(n: int, test_fraction: float, seed: int):
+    """Uniform seeded test split of ``range(n)``: (test, rest) index arrays.
+
+    The test set is the first round-half-up(test_fraction * n) entries of a
+    seeded permutation; ``rest`` keeps the permutation's order.
+    """
+    perm = np.arange(n)
+    make_rng(seed, 10).shuffle(perm)
+    n_test = round_half_up(test_fraction * n)
+    if not 0 < n_test < n:
+        raise InvalidPool(
+            f"test fraction {test_fraction} of {n} records leaves no train pool")
+    return perm[:n_test], perm[n_test:]
+
+
 def make_pool(dataset: Dataset, test_fraction: float, n_seed: int,
               seed: int) -> PoolState:
     """Shuffle a dataset into (test, seed-labeled, unlabeled) index sets."""
-    n = len(dataset)
-    if n == 0:
-        raise InvalidPool("cannot build a pool from an empty dataset")
-    n_test = round_half_up(test_fraction * n)
-    if not 0 < n_test < n:
-        raise InvalidPool(f"test fraction {test_fraction} leaves no train pool")
-    if not 0 < n_seed <= n - n_test:
+    test, rest = holdout_split(len(dataset), test_fraction, seed)
+    if not 0 < n_seed <= rest.size:
         raise InvalidPool(f"seed size {n_seed} does not fit the train pool")
-    perm = np.arange(n)
-    make_rng(seed, 10).shuffle(perm)
-    test = perm[:n_test]
-    labeled = perm[n_test:n_test + n_seed]
-    unlabeled = perm[n_test + n_seed:]
-    return PoolState(dataset, tuple(labeled), tuple(unlabeled), tuple(test))
+    return PoolState(dataset, tuple(rest[:n_seed]), tuple(rest[n_seed:]),
+                     tuple(test))
 
 
 @dataclass(frozen=True)
@@ -225,6 +231,42 @@ def _labeled_dataset(dataset: Dataset, indices, labels) -> Dataset:
                    np.asarray(labels, int))
 
 
+class _Recorder:
+    """The refit -> evaluate -> record -> check-stop step both loops share.
+
+    It owns the loop's history and cumulative times.  Every step reads the
+    clock three times: around the fit, then for the elapsed-time check.
+    """
+
+    def __init__(self, stop: StoppingCriteria, clock: Clock, test: Dataset):
+        self.stop = stop
+        self.clock = clock
+        self.test = test
+        self.start = clock()
+        self.train_time = 0.0
+        self.select_time = 0.0
+        self.history = RunHistory([], StopReason.EXHAUSTED)
+
+    def refit(self, fit: Callable[[int], object], n_labeled: int,
+              queried: Tuple[int, ...]):
+        """Fit a model, record its test accuracy; returns (model, stopped).
+
+        ``fit`` receives the iteration number, the count of earlier refits.
+        When a stopping criterion fires it becomes the history's stop reason.
+        """
+        t0 = self.clock()
+        model = fit(len(self.history.iterations))
+        self.train_time += self.clock() - t0
+        accuracy = evaluate_accuracy(model, self.test)
+        self.history.iterations.append(IterationRecord(
+            n_labeled, queried, accuracy, self.select_time, self.train_time))
+        reason = check_stop(self.stop, self.history,
+                            self.clock() - self.start)
+        if reason is not None:
+            self.history.stop_reason = reason
+        return model, reason is not None
+
+
 def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
                   learner: ForestParams, oracle: Oracle, batch: int,
                   stop: StoppingCriteria, seed: int,
@@ -251,31 +293,22 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
     labels = [oracle_label(oracle, i) for i in labeled]
     unlabeled = list(pool.unlabeled)
 
-    start = clock()
-    train_time = 0.0
-    select_time = 0.0
+    run = _Recorder(stop, clock, test_ds)
+    history = run.history
     regressor = lal_regressor
-    history = RunHistory([], StopReason.EXHAUSTED)
     queried_now: Tuple[int, ...] = ()
-    iteration = 0
-    while True:
-        t0 = clock()
+
+    def fit(iteration):
         train_ds = _labeled_dataset(pool.dataset, labeled, labels)
         fit_seed = derive_seed(seed, 9, iteration)
         if needs_committee(strategy):
-            state = fit_committee(train_ds, strategy.committee_size, learner, fit_seed)
-        else:
-            state = fit_forest(train_ds, learner, fit_seed)
-        train_time += clock() - t0
-        accuracy = evaluate_accuracy(state, test_ds)
-        history.iterations.append(IterationRecord(
-            len(labeled), queried_now, accuracy, select_time, train_time))
-        reason = check_stop(stop, history, clock() - start)
-        if reason is not None:
-            history.stop_reason = reason
-            return history
-        if not unlabeled:
-            history.stop_reason = StopReason.EXHAUSTED
+            return fit_committee(train_ds, strategy.committee_size, learner,
+                                 fit_seed)
+        return fit_forest(train_ds, learner, fit_seed)
+
+    while True:
+        state, stopped = run.refit(fit, len(labeled), queried_now)
+        if stopped or not unlabeled:
             return history
         k = min(batch, len(unlabeled))
         if stop.max_queries is not None:
@@ -287,14 +320,13 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
                             pool.test)
         chosen = select_batch(strategy, state, current, k,
                               lal_regressor=regressor)
-        select_time += clock() - t0
+        run.select_time += clock() - t0
         for idx in chosen:
             labels.append(oracle_label(oracle, idx))
             labeled.append(idx)
         chosen_set = set(chosen)
         unlabeled = [i for i in unlabeled if i not in chosen_set]
         queried_now = tuple(chosen)
-        iteration += 1
 
 
 @dataclass(frozen=True)
@@ -347,39 +379,21 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     labeled = list(range(n_seed))
     labels = [oracle_label(oracle, i) for i in labeled]
 
-    start = clock()
-    train_time = 0.0
-    select_time = 0.0
-    history = RunHistory([], StopReason.EXHAUSTED)
-    iteration = 0
-    model = None
+    run = _Recorder(stop, clock, test)
 
-    def refit_and_record(queried: Tuple[int, ...]) -> Optional[StopReason]:
-        nonlocal train_time, iteration, model
-        t0 = clock()
-        model = fit_forest(_labeled_dataset(stream, labeled, labels),
-                           learner, derive_seed(seed, 13, iteration))
-        train_time += clock() - t0
-        iteration += 1
-        accuracy = evaluate_accuracy(model, test)
-        history.iterations.append(IterationRecord(
-            len(labeled), queried, accuracy, select_time, train_time))
-        return check_stop(stop, history, clock() - start)
+    def fit(iteration):
+        return fit_forest(_labeled_dataset(stream, labeled, labels),
+                          learner, derive_seed(seed, 13, iteration))
 
-    reason = refit_and_record(())
-    if reason is not None:
-        history.stop_reason = reason
-        return history
-
+    model, stopped = run.refit(fit, len(labeled), ())
     pending: List[int] = []
-    queries = 0
     for i in range(n_seed, n):
-        if queries >= config.max_label_budget:
+        if stopped or len(labeled) - n_seed >= config.max_label_budget:
             break
         t0 = clock()
         probs = model.predict_proba_many(stream.features[i:i + 1])
         value = float(uncertainty_scores(config.measure, probs)[0])
-        select_time += clock() - t0
+        run.select_time += clock() - t0
         if config.measure == "margin":
             useful = value <= config.threshold
         else:
@@ -389,17 +403,9 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
         labels.append(oracle_label(oracle, i))
         labeled.append(i)
         pending.append(i)
-        queries += 1
         if len(pending) == config.retrain_every:
-            reason = refit_and_record(tuple(pending))
+            model, stopped = run.refit(fit, len(labeled), tuple(pending))
             pending = []
-            if reason is not None:
-                history.stop_reason = reason
-                return history
-    if pending:
-        reason = refit_and_record(tuple(pending))
-        if reason is not None:
-            history.stop_reason = reason
-            return history
-    history.stop_reason = StopReason.EXHAUSTED
-    return history
+    if pending and not stopped:
+        run.refit(fit, len(labeled), tuple(pending))
+    return run.history

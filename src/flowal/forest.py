@@ -123,15 +123,16 @@ class _Tree:
                                     self.left[cur], self.right[cur])
 
 
-def _best_gini_split(X, y_onehot, idx, feats):
-    """Lowest weighted-Gini (feature, threshold) over candidate features.
+def _best_split(X, payload, idx, feats, cut_impurity):
+    """Lowest-impurity (feature, threshold) over candidate features.
 
+    ``cut_impurity(rows, cut)`` scores every cut of a node's ``payload``
+    rows in feature-sorted order, where cut c sends the first c rows left.
     ``feats`` must be in ascending order; strictly-better comparisons keep
     the lowest feature index, argmin keeps the lowest threshold.
     Returns None when every candidate feature is constant on the node.
     """
-    n = idx.size
-    sub = y_onehot[idx]
+    sub = payload[idx]
     best_score = np.inf
     best = None
     for f in feats:
@@ -140,20 +141,40 @@ def _best_gini_split(X, y_onehot, idx, feats):
         vs = v[order]
         if vs[0] == vs[-1]:
             continue
-        cum = np.cumsum(sub[order], axis=0)
-        cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1  # left side takes first cut rows
-        nl = cut.astype(np.float64)
-        nr = n - nl
-        left = cum[cut - 1]
-        right = cum[-1] - left
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_score:
-            best_score = float(weighted[j])
+        cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+        impurity = cut_impurity(sub[order], cut)
+        j = int(np.argmin(impurity))
+        if impurity[j] < best_score:
+            best_score = float(impurity[j])
             best = (int(f), _midpoint(vs[cut[j] - 1], vs[cut[j]]))
     return best
+
+
+def _gini_of_cuts(onehot, cut):
+    """Size-weighted Gini impurity of each cut of one-hot class rows."""
+    n = onehot.shape[0]
+    cum = np.cumsum(onehot, axis=0)
+    nl = cut.astype(np.float64)
+    nr = n - nl
+    left = cum[cut - 1]
+    right = cum[-1] - left
+    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+    return (nl * gini_l + nr * gini_r) / n
+
+
+def _sse_of_cuts(ts, cut):
+    """Total squared error of each cut of regression targets."""
+    n = ts.shape[0]
+    s1 = np.cumsum(ts)
+    s2 = np.cumsum(ts * ts)
+    nl = cut.astype(np.float64)
+    nr = n - nl
+    sum_l = s1[cut - 1]
+    sse_l = s2[cut - 1] - sum_l * sum_l / nl
+    sum_r = s1[-1] - sum_l
+    sse_r = (s2[-1] - s2[cut - 1]) - sum_r * sum_r / nr
+    return sse_l + sse_r
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -161,36 +182,6 @@ def _midpoint(lo: float, hi: float) -> float:
     # would route every sample left of nothing; fall back to lo
     mid = 0.5 * (lo + hi)
     return float(lo) if mid >= hi else float(mid)
-
-
-def _best_variance_split(X, t, idx, feats):
-    """Lowest total-SSE (feature, threshold) for regression trees."""
-    n = idx.size
-    sub = t[idx]
-    best_score = np.inf
-    best = None
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        ts = sub[order]
-        s1 = np.cumsum(ts)
-        s2 = np.cumsum(ts * ts)
-        cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-        nl = cut.astype(np.float64)
-        nr = n - nl
-        sum_l = s1[cut - 1]
-        sse_l = s2[cut - 1] - sum_l * sum_l / nl
-        sum_r = s1[-1] - sum_l
-        sse_r = (s2[-1] - s2[cut - 1]) - sum_r * sum_r / nr
-        weighted = sse_l + sse_r
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_score:
-            best_score = float(weighted[j])
-            best = (int(f), _midpoint(vs[cut[j] - 1], vs[cut[j]]))
-    return best
 
 
 def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
@@ -210,20 +201,12 @@ def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
     Xs = X[sample]
     ys = y[sample]
     if regression:
-        onehot = None
-        targets = ys.astype(np.float64)
+        payload, cut_impurity = ys, _sse_of_cuts
     else:
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        targets = None
+        payload, cut_impurity = np.zeros((n, n_classes)), _gini_of_cuts
+        payload[np.arange(n), ys] = 1.0
 
     feature, threshold, left, right, value, depth_arr = [], [], [], [], [], []
-
-    def leaf_value(idx):
-        if regression:
-            return float(targets[idx].mean())
-        counts = onehot[idx].sum(axis=0)
-        return int(np.argmax(counts))  # first max = lowest class index
 
     # stack entries: (row indices, depth, parent node id, is_right_child)
     stack = [(np.arange(n), 0, -1, False)]
@@ -238,23 +221,20 @@ def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
         right.append(-1)
         depth_arr.append(depth)
 
-        pure = (
-            (ys[idx] == ys[idx[0]]).all()
-            if not regression
-            else (targets[idx] == targets[idx[0]]).all()
-        )
         can_split = (
             idx.size >= params.min_samples_split
-            and not pure
+            and not (ys[idx] == ys[idx[0]]).all()
             and (params.max_depth is None or depth < params.max_depth)
         )
         split = None
         if can_split:
             feats = np.sort(rng.choice(d, size=k, replace=False))
-            split = (_best_variance_split(Xs, targets, idx, feats) if regression
-                     else _best_gini_split(Xs, onehot, idx, feats))
+            split = _best_split(Xs, payload, idx, feats, cut_impurity)
         if split is None:
-            value.append(leaf_value(idx))
+            # regression leaves hold the mean target; class leaves the
+            # majority class, the first max being the lowest class index
+            value.append(float(ys[idx].mean()) if regression
+                         else int(np.argmax(payload[idx].sum(axis=0))))
             continue
         f, thr = split
         feature[node_id] = f

@@ -63,8 +63,6 @@ STRATEGY_KINDS = (
 _UNCERTAINTY_KINDS = ("entropy", "least_confidence", "margin")
 _QBC_KINDS = ("qbc_vote_entropy", "qbc_kl")
 
-STATE_FEATURE_LENGTH = 8
-
 
 def _as_probs(p) -> np.ndarray:
     if isinstance(p, ProbabilityDistribution):
@@ -78,14 +76,32 @@ def _entropy_rows(P: np.ndarray) -> np.ndarray:
     return -(P * np.log(safe)).sum(axis=-1)
 
 
+def uncertainty_scores(kind: str, P: np.ndarray) -> np.ndarray:
+    """Row-wise uncertainty of a (m, n_classes) probability matrix."""
+    if kind == "entropy":
+        return _entropy_rows(P)
+    if kind == "least_confidence":
+        return 1.0 - P.max(axis=1)
+    if kind == "margin":
+        part = np.sort(P, axis=1)
+        return part[:, -1] - part[:, -2]
+    raise InvalidParams(f"not an uncertainty kind: {kind!r}")
+
+
+def _vote_entropy_rows(votes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Entropy of each column's vote histogram in a (C, m) vote matrix."""
+    counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=0)
+    return _entropy_rows(counts / votes.shape[0])
+
+
 def entropy(p) -> float:
     """Natural-log entropy of a class posterior; 0 at one-hot, ln n at uniform."""
-    return float(_entropy_rows(_as_probs(p)))
+    return float(uncertainty_scores("entropy", _as_probs(p)[None, :])[0])
 
 
 def least_confidence(p) -> float:
     """1 - max(p); higher means the model is less sure of its top class."""
-    return float(1.0 - _as_probs(p).max())
+    return float(uncertainty_scores("least_confidence", _as_probs(p)[None, :])[0])
 
 
 def margin(p) -> float:
@@ -93,8 +109,7 @@ def margin(p) -> float:
     probs = _as_probs(p)
     if probs.size < 2:
         raise InvalidDistribution("margin needs at least two classes")
-    top2 = np.sort(probs)[-2:]
-    return float(top2[1] - top2[0])
+    return float(uncertainty_scores("margin", probs[None, :])[0])
 
 
 def vote_entropy(votes, n_classes: int) -> float:
@@ -104,8 +119,7 @@ def vote_entropy(votes, n_classes: int) -> float:
         raise EmptyCommittee("vote entropy needs at least 2 committee votes")
     if (votes < 0).any() or (votes >= n_classes).any():
         raise InvalidDistribution("vote outside [0, n_classes)")
-    fractions = np.bincount(votes, minlength=n_classes) / votes.size
-    return float(_entropy_rows(fractions))
+    return float(_vote_entropy_rows(votes[:, None], n_classes)[0])
 
 
 def kl_disagreement(member_probs) -> float:
@@ -174,17 +188,12 @@ class LalParams:
     """
 
     mc_rounds: int = 40
-    state_feature_length: int = STATE_FEATURE_LENGTH
     regressor: ForestParams = ForestParams(n_trees=40)
     seed: int = 0
 
     def __post_init__(self):
         if self.mc_rounds < 1:
             raise InvalidParams("mc_rounds must be >= 1")
-        if self.state_feature_length != STATE_FEATURE_LENGTH:
-            raise InvalidParams(
-                f"state feature length is fixed at {STATE_FEATURE_LENGTH}"
-            )
 
 
 class LalRegressor:
@@ -197,8 +206,6 @@ class LalRegressor:
         self.targets = targets
 
     def predict_many(self, states: np.ndarray) -> np.ndarray:
-        if self.forest is None:
-            raise UntrainedRegressor("LAL regressor has no fitted forest")
         return self.forest.predict_many(states)
 
     def predict(self, state) -> float:
@@ -229,17 +236,13 @@ def lal_state_features(model: ForestModel, labeled_size: int,
 def _lal_state_matrix(model: ForestModel, labeled_size: int,
                       X: np.ndarray) -> np.ndarray:
     P = model.predict_proba_many(X)
-    part = np.sort(P, axis=1)
-    max_prob = part[:, -1]
-    gap = part[:, -1] - part[:, -2] if P.shape[1] >= 2 else np.ones(len(P))
-    ent = _entropy_rows(P)
     # sum of per-class Bernoulli variances of the tree votes
     vote_var = 1.0 - np.sum(P * P, axis=1)
     balance = _class_balance_entropy(model.train_class_counts)
     states = np.column_stack([
-        max_prob,
-        gap,
-        ent,
+        P.max(axis=1),
+        uncertainty_scores("margin", P),
+        uncertainty_scores("entropy", P),
         vote_var,
         np.full(len(P), float(labeled_size)),
         np.full(len(P), balance),
@@ -348,18 +351,6 @@ def needs_committee(config: StrategyConfig) -> bool:
     return config.kind in _QBC_KINDS
 
 
-def uncertainty_scores(kind: str, P: np.ndarray) -> np.ndarray:
-    """Row-wise uncertainty of a (m, n_classes) probability matrix."""
-    if kind == "entropy":
-        return _entropy_rows(P)
-    if kind == "least_confidence":
-        return 1.0 - P.max(axis=1)
-    if kind == "margin":
-        part = np.sort(P, axis=1)
-        return part[:, -1] - part[:, -2]
-    raise InvalidParams(f"not an uncertainty kind: {kind!r}")
-
-
 def score_pool(config: StrategyConfig, state, pool: "PoolState",
                lal_regressor: Optional[LalRegressor] = None) -> np.ndarray:
     """Score vector aligned with ``pool.unlabeled`` (random kind excluded)."""
@@ -372,12 +363,8 @@ def score_pool(config: StrategyConfig, state, pool: "PoolState",
         return uncertainty_scores(kind, state.predict_proba_many(XU))
     if kind == "qbc_vote_entropy":
         committee = _require_committee(state)
-        votes = committee.member_votes(XU)  # (C, m)
-        counts = np.zeros((votes.shape[1], committee.schema.n_classes))
-        cols = np.arange(votes.shape[1])
-        for row in votes:
-            counts[cols, row] += 1.0
-        return _entropy_rows(counts / votes.shape[0])
+        return _vote_entropy_rows(committee.member_votes(XU),
+                                  committee.schema.n_classes)
     if kind == "qbc_kl":
         member = _require_committee(state).member_probas(XU)  # (C, m, n)
         return _kl_rows(np.swapaxes(member, 0, 1))

@@ -271,8 +271,6 @@ class TestLal:
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
             LalParams(mc_rounds=0)
-        with pytest.raises(InvalidParams):
-            LalParams(state_feature_length=9)
 
     def test_untrained_regressor(self):
         model = hand_model([constant_tree(0)])
