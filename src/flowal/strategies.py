@@ -134,22 +134,23 @@ def kl_disagreement(member_probs) -> float:
     sizes = {r.size for r in rows}
     if len(sizes) != 1:
         raise LengthMismatch("member distributions differ in length")
-    P = np.stack(rows)
-    if (P == P[0]).all():
-        return 0.0  # identical members diverge by exactly zero, not float dust
-    return float(_kl_rows(P[None, :, :])[0])
+    return float(_kl_rows(np.stack(rows)[None, :, :])[0])
 
 
 def _kl_rows(P: np.ndarray) -> np.ndarray:
     """Mean member-vs-consensus KL for a (m, C, n_classes) stack.
 
-    Clamped at zero: the divergence is nonnegative by Gibbs' inequality, and
-    the clamp keeps rounding dust from leaking tiny negatives.
+    Rows whose members are all identical score exactly zero, not the dust a
+    rounded consensus leaves, so they tie and fall back to index order.
+    Other rows are clamped at zero: the divergence is nonnegative by Gibbs'
+    inequality, and the clamp keeps rounding dust from leaking tiny negatives.
     """
     consensus = P.mean(axis=1, keepdims=True)
     ratio = np.where(P > 0, P / np.where(consensus > 0, consensus, 1.0), 1.0)
     terms = np.where(P > 0, P * np.log(ratio), 0.0)
-    return np.maximum(terms.sum(axis=-1).mean(axis=-1), 0.0)
+    kl = np.maximum(terms.sum(axis=-1).mean(axis=-1), 0.0)
+    identical = (P == P[:, :1]).all(axis=(1, 2))
+    return np.where(identical, 0.0, kl)
 
 
 def information_density(base_scores, pool_features, beta: float) -> np.ndarray:

@@ -3,8 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowal import (
+    Committee,
+    Dataset,
     FeatureSchema,
     ForestParams,
     LalParams,
@@ -417,3 +421,57 @@ class TestStrategyConfig:
             StrategyConfig(kind="qbc_kl", committee_size=1)
         with pytest.raises(InvalidParams):
             StrategyConfig(kind="density", base_informativeness="random")
+
+
+def vote_fractions(n_classes):
+    """Hard-vote posteriors: integer vote counts over their total."""
+    return st.lists(st.integers(0, 9), min_size=n_classes,
+                    max_size=n_classes).filter(any).map(
+                        lambda c: np.asarray(c) / sum(c))
+
+
+def indexed_pool(m, n_classes):
+    """Pool of m unlabeled rows whose single feature is the row index."""
+    schema = FeatureSchema(("row",), tuple(f"c{j}" for j in range(n_classes)))
+    ds = Dataset(schema, np.arange(m, dtype=float)[:, None], np.zeros(m, int))
+    return PoolState(ds, (), tuple(range(m)), ())
+
+
+class TableCommittee(Committee):
+    """Committee whose member posteriors for row i are ``table[:, i]``."""
+
+    def __init__(self, table, n_classes):
+        self.table = table
+        self.members = tuple(range(table.shape[0]))
+        self.schema = FeatureSchema(("row",),
+                                    tuple(f"c{j}" for j in range(n_classes)))
+
+    def member_probas(self, X):
+        return self.table[:, X[:, 0].astype(int)]
+
+
+class TestTieProperties:
+    """Rows that should tie score bit-identically, so selection falls back
+    to the lowest pool index."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_identical_members_have_exactly_zero_kl(self, data):
+        n_classes = data.draw(st.integers(2, 8))
+        size = data.draw(st.integers(2, 7))
+        same = data.draw(st.lists(st.booleans(), min_size=2, max_size=16))
+        # disagreeing rows: member j votes class j mod n_classes outright
+        opposed = np.eye(n_classes)[np.arange(size) % n_classes]
+        table = np.stack([np.tile(data.draw(vote_fractions(n_classes)),
+                                  (size, 1)) if s else opposed
+                          for s in same], axis=1)
+        calm = [i for i, s in enumerate(same) if s]
+        torn = [i for i, s in enumerate(same) if not s]
+        for i in calm:
+            assert kl_disagreement(list(table[:, i])) == 0.0
+        committee = TableCommittee(table, n_classes)
+        pool = indexed_pool(len(same), n_classes)
+        cfg = StrategyConfig(kind="qbc_kl")
+        scores = score_pool(cfg, committee, pool)
+        assert (scores[calm] == 0.0).all() and (scores[torn] > 0).all()
+        assert select_batch(cfg, committee, pool, len(same)) == torn + calm
