@@ -71,6 +71,9 @@ def _as_probs(p) -> np.ndarray:
 
 
 def _entropy_rows(P: np.ndarray) -> np.ndarray:
+    # summing each row in sorted order makes the float result independent
+    # of class order, so rows that are permutations of each other tie exactly
+    P = np.sort(P, axis=-1)
     # log of a zero entry is never consumed: where masks it to log(1) = 0
     safe = np.where(P > 0, P, 1.0)
     return -(P * np.log(safe)).sum(axis=-1)

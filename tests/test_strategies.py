@@ -437,6 +437,16 @@ def indexed_pool(m, n_classes):
     return PoolState(ds, (), tuple(range(m)), ())
 
 
+class TableModel:
+    """Model whose posterior for row i is ``table[i]``."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def predict_proba_many(self, X):
+        return self.table[X[:, 0].astype(int)]
+
+
 class TableCommittee(Committee):
     """Committee whose member posteriors for row i are ``table[:, i]``."""
 
@@ -453,6 +463,20 @@ class TableCommittee(Committee):
 class TestTieProperties:
     """Rows that should tie score bit-identically, so selection falls back
     to the lowest pool index."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_permuted_rows_have_equal_entropy(self, data):
+        n_classes = data.draw(st.integers(2, 12))
+        p = data.draw(vote_fractions(n_classes))
+        m = data.draw(st.integers(2, 12))
+        P = np.stack([p[data.draw(st.permutations(range(n_classes)))]
+                      for _ in range(m)])
+        assert len({entropy(row) for row in P}) == 1
+        k = data.draw(st.integers(1, m))
+        got = select_batch(StrategyConfig(kind="entropy"), TableModel(P),
+                           indexed_pool(m, n_classes), k)
+        assert got == list(range(k))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
