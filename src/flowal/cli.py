@@ -38,9 +38,15 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     round_half_up,
-    shuffle_and_subset,
 )
-from .engine import Oracle, StoppingCriteria, Stabilization, StreamConfig, run_stream_loop
+from .engine import (
+    Oracle,
+    Stabilization,
+    StoppingCriteria,
+    StreamConfig,
+    holdout_split,
+    run_stream_loop,
+)
 from .errors import BenchError, ConfigError, DatasetError, FlowalError
 from .forest import ForestParams
 from .strategies import LalParams, StrategyConfig
@@ -364,7 +370,10 @@ def _cmd_stream(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_source(_source(cfg, args.seed))
     seed = args.seed if args.seed is not None else cfg.int_list("seeds")[0]
-    test, stream = shuffle_and_subset(dataset, cfg.float_("test_fraction"), seed)
+    test_idx, rest = holdout_split(len(dataset), cfg.float_("test_fraction"),
+                                   seed)
+    # the stream keeps dataset order, so a drift onset stays a stream position
+    test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
     budget = cfg.int_("stream.budget")
     if budget is None:
         budget = round_half_up(0.15 * len(stream))

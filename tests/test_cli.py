@@ -1,8 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import flowal.cli
+from flowal import DriftSpec, SyntheticSpec, generate_synthetic
 from flowal.cli import cli_main, parse_config_text
 from flowal.errors import ConfigError
 
@@ -179,3 +182,38 @@ stream.retrain_every = 10
         assert len(records) >= 1
         assert records[0]["n_queried"] == "0"
         assert "stop_reason" in records[0]
+
+    def test_stream_keeps_dataset_order(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, """
+synthetic.classes = 3
+synthetic.per_class = 60
+synthetic.features = 3
+synthetic.seed = 4
+synthetic.drift_onset = 90
+synthetic.drift_shift = 3.0
+seeds = 5
+learner.trees = 3
+stream.budget = 10
+""")
+        run_stream_loop = flowal.cli.run_stream_loop
+        seen = {}
+
+        def capture(stream, test, *args, **kwargs):
+            seen["stream"], seen["test"] = stream, test
+            return run_stream_loop(stream, test, *args, **kwargs)
+
+        monkeypatch.setattr(flowal.cli, "run_stream_loop", capture)
+        assert cli_main(["stream", "--config", cfg, "--output",
+                         str(tmp_path / "h.csv"), "--quiet"]) == 0
+        data = generate_synthetic(SyntheticSpec(
+            n_classes=3, per_class=60, n_features=3,
+            drift=DriftSpec(90, 3.0), seed=4))
+
+        def positions(part):
+            return [int(np.flatnonzero((data.features == row).all(axis=1))[0])
+                    for row in part.features]
+
+        stream = positions(seen["stream"])
+        test = positions(seen["test"])
+        assert stream == sorted(stream) and len(set(stream)) == len(stream)
+        assert sorted(stream + test) == list(range(len(data)))
