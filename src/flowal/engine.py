@@ -406,6 +406,6 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
         if len(pending) == config.retrain_every:
             model, stopped = run.refit(fit, len(labeled), tuple(pending))
             pending = []
-    if pending and not stopped:
+    if pending:
         run.refit(fit, len(labeled), tuple(pending))
     return run.history
