@@ -126,8 +126,9 @@ class _Tree:
 def _best_split(X, payload, idx, feats, cut_impurity):
     """Lowest-impurity (feature, threshold) over candidate features.
 
-    ``cut_impurity(rows, cut)`` scores every cut of a node's ``payload``
-    rows in feature-sorted order, where cut c sends the first c rows left.
+    ``cut_impurity(cum, cut)`` scores every cut from the running sums of a
+    node's ``payload`` rows in feature-sorted order, where cut c sends the
+    first c rows left.
     ``feats`` must be in ascending order; strictly-better comparisons keep
     the lowest feature index, argmin keeps the lowest threshold.
     Returns None when every candidate feature is constant on the node.
@@ -141,8 +142,12 @@ def _best_split(X, payload, idx, feats, cut_impurity):
         vs = v[order]
         if vs[0] == vs[-1]:
             continue
+        # summing here frees the sorted rows before the impurity temporaries
+        # are allocated; holding them longer slowed large nodes through
+        # allocator page faults
+        cum = np.cumsum(sub[order], axis=0)
         cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-        impurity = cut_impurity(sub[order], cut)
+        impurity = cut_impurity(cum, cut)
         j = int(np.argmin(impurity))
         if impurity[j] < best_score:
             best_score = float(impurity[j])
@@ -150,10 +155,9 @@ def _best_split(X, payload, idx, feats, cut_impurity):
     return best
 
 
-def _gini_of_cuts(onehot, cut):
-    """Size-weighted Gini impurity of each cut of one-hot class rows."""
-    n = onehot.shape[0]
-    cum = np.cumsum(onehot, axis=0)
+def _gini_of_cuts(cum, cut):
+    """Size-weighted Gini impurity of each cut; ``cum`` sums one-hot rows."""
+    n = cum.shape[0]
     nl = cut.astype(np.float64)
     nr = n - nl
     left = cum[cut - 1]
@@ -163,11 +167,10 @@ def _gini_of_cuts(onehot, cut):
     return (nl * gini_l + nr * gini_r) / n
 
 
-def _sse_of_cuts(ts, cut):
-    """Total squared error of each cut of regression targets."""
-    n = ts.shape[0]
-    s1 = np.cumsum(ts)
-    s2 = np.cumsum(ts * ts)
+def _sse_of_cuts(cum, cut):
+    """Total squared error of each cut; ``cum`` sums (t, t * t) rows."""
+    n = cum.shape[0]
+    s1, s2 = cum[:, 0], cum[:, 1]
     nl = cut.astype(np.float64)
     nr = n - nl
     sum_l = s1[cut - 1]
@@ -201,7 +204,7 @@ def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
     Xs = X[sample]
     ys = y[sample]
     if regression:
-        payload, cut_impurity = ys, _sse_of_cuts
+        payload, cut_impurity = np.column_stack([ys, ys * ys]), _sse_of_cuts
     else:
         payload, cut_impurity = np.zeros((n, n_classes)), _gini_of_cuts
         payload[np.arange(n), ys] = 1.0

@@ -430,10 +430,14 @@ def vote_fractions(n_classes):
                         lambda c: np.asarray(c) / sum(c))
 
 
+def row_schema(n_classes):
+    return FeatureSchema(("row",), tuple(f"c{j}" for j in range(n_classes)))
+
+
 def indexed_pool(m, n_classes):
     """Pool of m unlabeled rows whose single feature is the row index."""
-    schema = FeatureSchema(("row",), tuple(f"c{j}" for j in range(n_classes)))
-    ds = Dataset(schema, np.arange(m, dtype=float)[:, None], np.zeros(m, int))
+    ds = Dataset(row_schema(n_classes), np.arange(m, dtype=float)[:, None],
+                 np.zeros(m, int))
     return PoolState(ds, (), tuple(range(m)), ())
 
 
@@ -453,8 +457,7 @@ class TableCommittee(Committee):
     def __init__(self, table, n_classes):
         self.table = table
         self.members = tuple(range(table.shape[0]))
-        self.schema = FeatureSchema(("row",),
-                                    tuple(f"c{j}" for j in range(n_classes)))
+        self.schema = row_schema(n_classes)
 
     def member_probas(self, X):
         return self.table[:, X[:, 0].astype(int)]
