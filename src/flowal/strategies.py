@@ -163,6 +163,13 @@ def information_density(base_scores, pool_features, beta: float) -> np.ndarray:
     (1 + cos)/2; all-zero vectors sit at 0.5 similarity to everything, which
     falls out of normalizing them to the zero vector.  beta = 0 returns the
     base scores unchanged.
+
+    With u_i the unit vectors and u_bar their mean, the row mean of
+    (1 + u_i . u_j)/2 over j is exactly (1 + u_i . u_bar)/2, so the factor
+    costs O(m d) time and memory; no (m, m) similarity matrix is built.
+    Each dot product is summed within its own row, so duplicate rows get
+    bit-identical factors, and the factor is clamped to [0, 1] so rounding
+    of a unit norm cannot push it outside.
     """
     if beta < 0:
         raise InvalidParams(f"density beta must be >= 0, got {beta}")
@@ -176,8 +183,9 @@ def information_density(base_scores, pool_features, beta: float) -> np.ndarray:
         )
     norms = np.linalg.norm(Z, axis=1, keepdims=True)
     unit = np.divide(Z, norms, out=np.zeros_like(Z), where=norms > 0)
-    sim = (1.0 + unit @ unit.T) / 2.0
-    factor = sim.mean(axis=1)
+    # a BLAS matrix-vector product may sum rows in different orders by position
+    cos_to_mean = (unit * unit.mean(axis=0)).sum(axis=1)
+    factor = np.clip((1.0 + cos_to_mean) / 2.0, 0.0, 1.0)
     return base * factor ** beta
 
 

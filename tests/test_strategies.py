@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowal import (
@@ -31,6 +32,7 @@ from flowal import (
     train_lal_regressor,
     vote_entropy,
 )
+from flowal.dataset import standardize
 from flowal.errors import (
     BatchTooLarge,
     EmptyCommittee,
@@ -40,6 +42,7 @@ from flowal.errors import (
     LengthMismatch,
     UntrainedRegressor,
 )
+from flowal.strategies import uncertainty_scores
 from tests.test_forest import constant_tree, hand_model
 
 
@@ -171,6 +174,59 @@ def brute_force_density_factors(Z):
     return out
 
 
+def quadratic_density_factors(Z):
+    """Quadratic reference: row means of the full (m, m) similarity matrix."""
+    norms = np.linalg.norm(Z, axis=1)
+    U = np.zeros_like(Z)
+    U[norms > 0] = Z[norms > 0] / norms[norms > 0, None]
+    return ((1 + U @ U.T) / 2).mean(axis=1)
+
+
+@st.composite
+def density_pools(draw):
+    """Feature matrices with exact duplicate rows, all-zero rows and m = 1."""
+    d = draw(st.integers(1, 14))
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0, 1e-3, 1e3]))
+    distinct = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d,
+                                      max_size=d), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        distinct.append([0] * d)
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=24))
+    return np.asarray(distinct, dtype=float)[picks] / scale
+
+
+def duplicate_groups(Z):
+    """Index lists of rows that hold the same features, one list per value."""
+    groups = {}
+    for i, row in enumerate(Z):
+        groups.setdefault(tuple(row), []).append(i)
+    return list(groups.values())
+
+
+def assert_reference_batch(chosen, scores, tol=1e-12):
+    """``chosen`` is the best-first batch of ``scores``, up to reordering
+    among scores within ``tol`` of one another."""
+    key = -np.asarray(scores)
+    chosen = np.asarray(chosen)
+    assert len(set(chosen.tolist())) == chosen.size
+    picked = key[chosen]
+    assert (np.diff(picked) >= -tol).all()
+    rest = np.setdiff1d(np.arange(key.size), chosen)
+    if rest.size:
+        assert picked.max() <= key[rest].min() + tol
+
+
+class FeatureLookupModel:
+    """Model whose posterior depends only on a row's feature values."""
+
+    def __init__(self, X, P):
+        self.table = {row.tobytes(): p for row, p in zip(X, P)}
+
+    def predict_proba_many(self, X):
+        return np.stack([self.table[row.tobytes()] for row in X])
+
+
 class TestInformationDensity:
     def test_beta_zero_is_identity(self):
         base = np.array([0.4, 0.1, 0.9])
@@ -208,6 +264,57 @@ class TestInformationDensity:
             information_density(np.zeros(3), np.zeros((2, 2)), 1.0)
         with pytest.raises(InvalidParams):
             information_density(np.zeros(2), np.zeros((2, 2)), -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(density_pools())
+    # a lone row whose rounded unit vector has a squared norm above 1
+    @example(np.array([[-6.0, -5.0, -3.0, -6.0, -3.0, -2.0]]))
+    def test_factors_match_quadratic_reference(self, Z):
+        factor = information_density(np.ones(len(Z)), Z, 1.0)
+        np.testing.assert_allclose(factor, quadratic_density_factors(Z),
+                                   rtol=0, atol=1e-12)
+        assert ((factor >= 0.0) & (factor <= 1.0)).all()
+        for group in duplicate_groups(Z):
+            assert len(set(factor[group].tolist())) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_batch_matches_quadratic_reference(self, data):
+        X = data.draw(density_pools())
+        m, d = X.shape
+        n_classes = 3
+        P = np.stack([data.draw(vote_fractions(n_classes)) for _ in range(m)])
+        model = FeatureLookupModel(X, P)  # duplicate rows share one posterior
+        schema = FeatureSchema(tuple(f"f{j}" for j in range(d)),
+                               tuple(f"c{j}" for j in range(n_classes)))
+        pool = PoolState(Dataset(schema, X, np.zeros(m, int)), (),
+                         tuple(range(m)), ())
+        base_kind = data.draw(st.sampled_from(
+            ("entropy", "least_confidence", "margin")))
+        cfg = StrategyConfig(kind="density", base_informativeness=base_kind,
+                             beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+        base = uncertainty_scores(base_kind, model.predict_proba_many(X))
+        if base_kind == "margin":
+            base = 1.0 - base
+        Z = standardize(pool.dataset).transform(X)
+        reference = base * quadratic_density_factors(Z) ** cfg.beta
+        scores = score_pool(cfg, model, pool)
+        for group in duplicate_groups(X):
+            assert len(set(scores[group].tolist())) == 1
+        k = data.draw(st.integers(1, m))
+        assert_reference_batch(select_batch(cfg, model, pool, k), reference)
+
+    def test_memory_stays_linear_in_pool_size(self):
+        # an (m, m) float64 similarity matrix alone would take 200 MB here
+        Z = np.random.default_rng(3).normal(size=(5000, 12))
+        base = np.ones(5000)
+        tracemalloc.start()
+        try:
+            information_density(base, Z, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestLal:
