@@ -147,11 +147,14 @@ def _kl_rows(P: np.ndarray) -> np.ndarray:
     rounded consensus leaves, so they tie and fall back to index order.
     Other rows are clamped at zero: the divergence is nonnegative by Gibbs'
     inequality, and the clamp keeps rounding dust from leaking tiny negatives.
+    The consensus, each member's KL and the member mean are all summed in
+    sorted order, so the score does not depend on class or member order.
     """
-    consensus = P.mean(axis=1, keepdims=True)
+    consensus = np.sort(P, axis=1).mean(axis=1, keepdims=True)
     ratio = np.where(P > 0, P / np.where(consensus > 0, consensus, 1.0), 1.0)
     terms = np.where(P > 0, P * np.log(ratio), 0.0)
-    kl = np.maximum(terms.sum(axis=-1).mean(axis=-1), 0.0)
+    member_kl = np.sort(terms, axis=-1).sum(axis=-1)
+    kl = np.maximum(np.sort(member_kl, axis=-1).mean(axis=-1), 0.0)
     identical = (P == P[:, :1]).all(axis=(1, 2))
     return np.where(identical, 0.0, kl)
 

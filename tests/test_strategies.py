@@ -609,3 +609,24 @@ class TestTieProperties:
         scores = score_pool(cfg, committee, pool)
         assert (scores[calm] == 0.0).all() and (scores[torn] > 0).all()
         assert select_batch(cfg, committee, pool, len(same)) == torn + calm
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_permuted_committees_have_equal_kl(self, data):
+        n_classes = data.draw(st.integers(2, 12))
+        size = data.draw(st.integers(2, 7))
+        members = np.stack([data.draw(vote_fractions(n_classes))
+                            for _ in range(size)])
+        m = data.draw(st.integers(2, 12))
+        # row i: the same committee with its classes and members reordered
+        table = np.stack([
+            members[list(data.draw(st.permutations(range(size))))]
+                   [:, list(data.draw(st.permutations(range(n_classes))))]
+            for _ in range(m)], axis=1)
+        assert len({kl_disagreement(list(table[:, i])) for i in range(m)}) == 1
+        committee = TableCommittee(table, n_classes)
+        pool = indexed_pool(m, n_classes)
+        cfg = StrategyConfig(kind="qbc_kl")
+        assert len(set(score_pool(cfg, committee, pool).tolist())) == 1
+        k = data.draw(st.integers(1, m))
+        assert select_batch(cfg, committee, pool, k) == list(range(k))
