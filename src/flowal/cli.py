@@ -47,7 +47,13 @@ from .engine import (
     holdout_split,
     run_stream_loop,
 )
-from .errors import BenchError, ConfigError, DatasetError, FlowalError
+from .errors import (
+    BenchError,
+    ConfigError,
+    DatasetError,
+    FlowalError,
+    InvalidParams,
+)
 from .forest import ForestParams
 from .strategies import LalParams, StrategyConfig
 
@@ -275,11 +281,14 @@ def _strategies(cfg: _Config) -> List[StrategyConfig]:
     kinds = cfg.list_("strategies")
     if not kinds:
         raise ConfigError("strategies must name at least one strategy")
-    lal = LalParams(
-        mc_rounds=cfg.int_("lal.mc_rounds"),
-        regressor=ForestParams(n_trees=cfg.int_("lal.trees")),
-        seed=cfg.int_("lal.seed"),
-    )
+    try:
+        lal = LalParams(
+            mc_rounds=cfg.int_("lal.mc_rounds"),
+            regressor=ForestParams(n_trees=cfg.int_("lal.trees")),
+            seed=cfg.int_("lal.seed"),
+        )
+    except (ValueError, InvalidParams) as exc:
+        raise ConfigError(f"lal: {exc}") from exc
     out = []
     for kind in kinds:
         try:

@@ -7,8 +7,9 @@ Tree t's randomness derives from (seed, t), so a fitted model is a pure
 function of (data, params, seed) regardless of fitting order.
 
 Determinism rules baked in here:
-  * split search scans candidate features in ascending index order and keeps
-    a strictly better Gini only, so ties go to the lowest feature index;
+  * split search takes the first candidate feature, in ascending index
+    order, that reaches the lowest impurity, so ties go to the lowest
+    feature index;
   * within a feature, ties go to the lowest threshold;
   * leaf labels and argmax predictions break ties toward the lowest class.
 """
@@ -76,6 +77,8 @@ class ForestParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0 or None")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if isinstance(self.features_per_split, str):
@@ -123,61 +126,114 @@ class _Tree:
                                     self.left[cur], self.right[cur])
 
 
-def _best_split(X, payload, idx, feats, cut_impurity):
-    """Lowest-impurity (feature, threshold) over candidate features.
+class _Workspace:
+    """Scratch buffers for one tree's split scans, sized for its root node.
 
-    ``cut_impurity(cum, cut)`` scores every cut from the running sums of a
-    node's ``payload`` rows in feature-sorted order, where cut c sends the
-    first c rows left.
-    ``feats`` must be in ascending order; strictly-better comparisons keep
-    the lowest feature index, argmin keeps the lowest threshold.
-    Returns None when every candidate feature is constant on the node.
+    A node of m rows scoring k candidate features works in views of the
+    leading entries and fills them with ``out=``, so a tree allocates its
+    (k, m, payload width) temporaries once instead of per feature and node.
     """
-    sub = payload[idx]
-    best_score = np.inf
-    best = None
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        # summing here frees the sorted rows before the impurity temporaries
-        # are allocated; holding them longer slowed large nodes through
-        # allocator page faults
-        cum = np.cumsum(sub[order], axis=0)
-        cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-        impurity = cut_impurity(cum, cut)
-        j = int(np.argmin(impurity))
-        if impurity[j] < best_score:
-            best_score = float(impurity[j])
-            best = (int(f), _midpoint(vs[cut[j] - 1], vs[cut[j]]))
-    return best
+
+    __slots__ = ("cum", "terms", "left", "right", "non_cut", "sizes")
+
+    def __init__(self, k: int, n: int, width: int):
+        cuts = k * max(n - 1, 0)
+        self.cum = np.empty(k * n * width)
+        self.terms = np.empty(cuts * width)
+        self.left = np.empty(cuts)
+        self.right = np.empty(cuts)
+        self.non_cut = np.empty(cuts, dtype=bool)
+        # left-child sizes 1 .. n - 1; a node takes the first m - 1 of them
+        # and, reversed, its right-child sizes
+        self.sizes = np.arange(1.0, n)
 
 
-def _gini_of_cuts(cum, cut):
-    """Size-weighted Gini impurity of each cut; ``cum`` sums one-hot rows."""
-    n = cum.shape[0]
-    nl = cut.astype(np.float64)
-    nr = n - nl
-    left = cum[cut - 1]
-    right = cum[-1] - left
-    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-    return (nl * gini_l + nr * gini_r) / n
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    return buf[:math.prod(shape)].reshape(shape)
 
 
-def _sse_of_cuts(cum, cut):
-    """Total squared error of each cut; ``cum`` sums (t, t * t) rows."""
-    n = cum.shape[0]
-    s1, s2 = cum[:, 0], cum[:, 1]
-    nl = cut.astype(np.float64)
-    nr = n - nl
-    sum_l = s1[cut - 1]
-    sse_l = s2[cut - 1] - sum_l * sum_l / nl
-    sum_r = s1[-1] - sum_l
-    sse_r = (s2[-1] - s2[cut - 1]) - sum_r * sum_r / nr
-    return sse_l + sse_r
+def _best_split(Xt, payload, idx, feats, cut_impurity, ws: _Workspace):
+    """Lowest-impurity (feature, threshold, goes_left) over candidate features.
+
+    ``Xt`` is the tree's feature-major sample.  All k candidate features of
+    the node are scored together: one (k, m) gather of the node's values,
+    one stable argsort per row, one (k, m, P) gather and cumsum of the
+    node's ``payload`` rows in each feature's sorted order, and
+    ``cut_impurity(cum, nl, nr, ws)`` scores the cut after every sorted
+    row, nl rows left and nr right.  Positions between equal values are
+    not cuts.
+    ``feats`` must be in ascending order; the first feature reaching the
+    overall minimum wins (ties go to the lowest feature index) and argmin
+    keeps the lowest threshold.  ``goes_left`` marks the node's rows routed
+    left.  Returns None when every candidate feature is constant on the node.
+    """
+    k, m = feats.size, idx.size
+    column = feats[:, None]
+    rows = idx[Xt[column, idx].argsort(axis=1, kind="stable")]
+    ordered = Xt[column, rows]
+    cum = _view(ws.cum, k, m, payload.shape[1])
+    # rows are in range; mode="clip" lets take write to out unbuffered
+    payload.take(rows, axis=0, out=cum, mode="clip")
+    cum.cumsum(axis=1, out=cum)
+    impurity = cut_impurity(cum, ws.sizes[:m - 1], ws.sizes[m - 2::-1], ws)
+    non_cut = _view(ws.non_cut, k, m - 1)
+    np.greater(ordered[:, 1:], ordered[:, :-1], out=non_cut)
+    np.logical_not(non_cut, out=non_cut)
+    np.copyto(impurity, np.inf, where=non_cut)
+    lowest = impurity.min(axis=1)
+    # a NaN minimum never wins, as under a strictly-better comparison
+    i = int(np.where(lowest < np.inf, lowest, np.inf).argmin())
+    if not lowest[i] < np.inf:
+        return None
+    j = int(impurity[i].argmin())
+    threshold = _midpoint(ordered[i, j], ordered[i, j + 1])
+    return int(feats[i]), threshold, Xt[feats[i], idx] <= threshold
+
+
+def _gini_of_cuts(cum, nl, nr, ws):
+    """Size-weighted Gini impurity of every cut; ``cum`` sums one-hot rows.
+
+    Each cut divides, squares and sums its class row over the contiguous
+    class axis, in the order the golden trees were recorded with; a change
+    to that order can flip near-tied splits.
+    """
+    k, m, n_classes = cum.shape
+    terms = _view(ws.terms, k, m - 1, n_classes)
+    gini_l = _view(ws.left, k, m - 1)
+    gini_r = _view(ws.right, k, m - 1)
+    left = cum[:, :-1]
+    np.divide(left, nl[:, None], out=terms)
+    np.square(terms, out=terms)
+    terms.sum(axis=2, out=gini_l)
+    np.subtract(1.0, gini_l, out=gini_l)
+    np.subtract(cum[:, -1:], left, out=terms)
+    np.divide(terms, nr[:, None], out=terms)
+    np.square(terms, out=terms)
+    terms.sum(axis=2, out=gini_r)
+    np.subtract(1.0, gini_r, out=gini_r)
+    np.multiply(nl, gini_l, out=gini_l)
+    np.multiply(nr, gini_r, out=gini_r)
+    np.add(gini_l, gini_r, out=gini_l)
+    return np.divide(gini_l, m, out=gini_l)
+
+
+def _sse_of_cuts(cum, nl, nr, ws):
+    """Total squared error of every cut; ``cum`` sums (t, t * t) rows."""
+    k, m, _ = cum.shape
+    s1, s2 = cum[:, :, 0], cum[:, :, 1]
+    sse_l = _view(ws.left, k, m - 1)
+    sse_r = _view(ws.right, k, m - 1)
+    tail = _view(ws.terms, k, m - 1)
+    sum_l = s1[:, :-1]
+    np.multiply(sum_l, sum_l, out=sse_l)
+    np.divide(sse_l, nl, out=sse_l)
+    np.subtract(s2[:, :-1], sse_l, out=sse_l)
+    np.subtract(s1[:, -1:], sum_l, out=sse_r)
+    np.multiply(sse_r, sse_r, out=sse_r)
+    np.divide(sse_r, nr, out=sse_r)
+    np.subtract(s2[:, -1:], s2[:, :-1], out=tail)
+    np.subtract(tail, sse_r, out=sse_r)
+    return np.add(sse_l, sse_r, out=sse_l)
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -201,13 +257,14 @@ def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
         sample = rng.integers(0, n, size=n)
     else:
         sample = np.arange(n)
-    Xs = X[sample]
+    Xt = np.ascontiguousarray(X[sample].T)
     ys = y[sample]
     if regression:
         payload, cut_impurity = np.column_stack([ys, ys * ys]), _sse_of_cuts
     else:
         payload, cut_impurity = np.zeros((n, n_classes)), _gini_of_cuts
         payload[np.arange(n), ys] = 1.0
+    ws = _Workspace(k, n, payload.shape[1])
 
     feature, threshold, left, right, value, depth_arr = [], [], [], [], [], []
 
@@ -224,29 +281,31 @@ def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
         right.append(-1)
         depth_arr.append(depth)
 
+        labels = ys[idx]
         can_split = (
             idx.size >= params.min_samples_split
-            and not (ys[idx] == ys[idx[0]]).all()
+            and not (labels == labels[0]).all()
             and (params.max_depth is None or depth < params.max_depth)
         )
         split = None
         if can_split:
             feats = np.sort(rng.choice(d, size=k, replace=False))
-            split = _best_split(Xs, payload, idx, feats, cut_impurity)
+            split = _best_split(Xt, payload, idx, feats, cut_impurity, ws)
         if split is None:
             # regression leaves hold the mean target; class leaves the
             # majority class, the first max being the lowest class index
-            value.append(float(ys[idx].mean()) if regression
-                         else int(np.argmax(payload[idx].sum(axis=0))))
+            if regression:
+                value.append(float(labels.mean()))
+            else:
+                value.append(int(np.bincount(labels, minlength=n_classes).argmax()))
             continue
-        f, thr = split
+        f, thr, goes_left = split
         feature[node_id] = f
         threshold[node_id] = thr
         value.append(0.0 if regression else -1)
-        mask = Xs[idx, f] <= thr
         # push right first so the left child is created (and draws rng) first
-        stack.append((idx[~mask], depth + 1, node_id, True))
-        stack.append((idx[mask], depth + 1, node_id, False))
+        stack.append((idx[~goes_left], depth + 1, node_id, True))
+        stack.append((idx[goes_left], depth + 1, node_id, False))
 
     return _Tree(feature, threshold, left, right, value, depth_arr)
 
@@ -279,14 +338,26 @@ class ForestModel:
 
     def vote_counts(self, X) -> np.ndarray:
         """(m, n_classes) integer matrix of per-class tree votes."""
+        return self._route(X, with_depth=False)[0]
+
+    def vote_counts_and_mean_depth(self, X):
+        """Vote counts and per-row mean leaf depth from one routing of X."""
+        counts, total = self._route(X, with_depth=True)
+        return counts, total / self.n_trees
+
+    def _route(self, X, with_depth: bool):
+        """Route X through every tree once; depths are summed in tree order."""
         X = self._check_matrix(X)
         m = X.shape[0]
         counts = np.zeros((m, self.schema.n_classes), dtype=np.int64)
+        total = np.zeros(m) if with_depth else None
         rows = np.arange(m)
         for tree in self.trees:
             leaves = tree.apply(X)
-            counts[rows, tree.value[leaves].astype(np.int64)] += 1
-        return counts
+            counts[rows, tree.value[leaves]] += 1
+            if with_depth:
+                total += tree.depth[leaves]
+        return counts, total
 
     def predict_proba_many(self, X) -> np.ndarray:
         return self.vote_counts(X) / self.n_trees
@@ -307,14 +378,6 @@ class ForestModel:
         if features.ndim != 1:
             raise DimensionMismatch("predict takes a single feature vector")
         return int(self.predict_many(features[None, :])[0])
-
-    def mean_leaf_depth(self, X) -> np.ndarray:
-        """Per-row mean depth of the leaves reached across the forest."""
-        X = self._check_matrix(X)
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.depth[tree.apply(X)]
-        return total / self.n_trees
 
 
 def fit_forest(labeled: Dataset, params: ForestParams, seed: int) -> ForestModel:

@@ -250,7 +250,8 @@ def lal_state_features(model: ForestModel, labeled_size: int,
 
 def _lal_state_matrix(model: ForestModel, labeled_size: int,
                       X: np.ndarray) -> np.ndarray:
-    P = model.predict_proba_many(X)
+    counts, mean_depth = model.vote_counts_and_mean_depth(X)
+    P = counts / model.n_trees
     # sum of per-class Bernoulli variances of the tree votes
     vote_var = 1.0 - np.sum(P * P, axis=1)
     balance = _class_balance_entropy(model.train_class_counts)
@@ -261,7 +262,7 @@ def _lal_state_matrix(model: ForestModel, labeled_size: int,
         vote_var,
         np.full(len(P), float(labeled_size)),
         np.full(len(P), balance),
-        model.mean_leaf_depth(X),
+        mean_depth,
         np.linalg.norm(X, axis=1),
     ])
     return states

@@ -187,6 +187,7 @@ EASY12 = SyntheticSpec(n_classes=12, per_class=417, n_features=12,
                        class_mean_separation=6.0, noise_stddev=1.0, seed=11)
 
 
+@pytest.mark.slow
 class TestCriterion4PoolBeatsRandom:
     def test_entropy_vs_random_paired_seeds(self):
         started = time.perf_counter()
@@ -285,6 +286,7 @@ class TestCriterion6StrategyCostOrdering:
                   f"({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 class TestCriterion7AccuracyMonotonicity:
     def test_mean_accuracy_rises_with_fraction(self):
         from flowal import ExperimentConfig, run_experiment

@@ -70,6 +70,16 @@ class TestUsageErrors:
         assert cli_main(["run", "--config", cfg,
                          "--output", str(tmp_path / "r.csv")]) == 1
 
+    @pytest.mark.parametrize("setting", ["lal.trees = 0", "lal.mc_rounds = 0",
+                                         "learner.max_depth = -2"])
+    def test_bad_learner_setting_exits_1(self, tmp_path, capsys, setting):
+        cfg = write_config(tmp_path, SYNTH_CONFIG + setting + "\n")
+        assert cli_main(["run", "--config", cfg,
+                         "--output", str(tmp_path / "r.csv"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and setting.split(" ")[0].split(".")[0] in err
+        assert "Traceback" not in err
+
     def test_bad_csv_data_exits_2(self, tmp_path):
         data = tmp_path / "flows.csv"
         data.write_text("a,label\n1,x\nbad,y\n", encoding="utf-8")

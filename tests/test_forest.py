@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowal import (
     Dataset,
@@ -20,7 +22,16 @@ from flowal.errors import (
     InvalidDistribution,
     SchemaMismatch,
 )
-from flowal.forest import ForestModel, ProbabilityDistribution, _Tree
+from flowal.forest import (
+    ForestModel,
+    ProbabilityDistribution,
+    _Tree,
+    _Workspace,
+    _best_split,
+    _gini_of_cuts,
+    _midpoint,
+    _sse_of_cuts,
+)
 
 SCHEMA2 = FeatureSchema(("f0", "f1"), ("x", "y"))
 
@@ -227,8 +238,116 @@ class TestForestParams:
             ForestParams(min_samples_split=1)
         with pytest.raises(ValueError):
             ForestParams(features_per_split="log2")
+        with pytest.raises(ValueError):
+            ForestParams(max_depth=-2)
+        assert ForestParams(max_depth=0).max_depth == 0
 
     def test_sqrt_rule(self):
         assert ForestParams().resolve_features_per_split(41) == 6
         assert ForestParams().resolve_features_per_split(1) == 1
         assert ForestParams(features_per_split=99).resolve_features_per_split(4) == 4
+
+
+def reference_gini(cum, cut):
+    n = cum.shape[0]
+    nl = cut.astype(np.float64)
+    nr = n - nl
+    left = cum[cut - 1]
+    right = cum[-1] - left
+    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+    return (nl * gini_l + nr * gini_r) / n
+
+
+def reference_sse(cum, cut):
+    n = cum.shape[0]
+    s1, s2 = cum[:, 0], cum[:, 1]
+    nl = cut.astype(np.float64)
+    nr = n - nl
+    sum_l = s1[cut - 1]
+    sse_l = s2[cut - 1] - sum_l * sum_l / nl
+    sum_r = s1[-1] - sum_l
+    sse_r = (s2[-1] - s2[cut - 1]) - sum_r * sum_r / nr
+    return sse_l + sse_r
+
+
+def reference_best_split(X, payload, idx, feats, regression):
+    """Per-feature split scan: one argsort, cumsum and impurity pass per
+    candidate feature in ascending order, keeping strictly better impurities
+    only (ties go to the lowest feature, then the lowest threshold)."""
+    sub = payload[idx]
+    best_score = np.inf
+    best = None
+    for f in feats:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        if vs[0] == vs[-1]:
+            continue
+        cum = np.cumsum(sub[order], axis=0)
+        cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+        impurity = (reference_sse if regression else reference_gini)(cum, cut)
+        j = int(np.argmin(impurity))
+        if impurity[j] < best_score:
+            best_score = float(impurity[j])
+            best = (int(f), _midpoint(vs[cut[j] - 1], vs[cut[j]]))
+    return best
+
+
+@st.composite
+def split_nodes(draw):
+    """One node of a tree's sample: (X, payload, idx, feats, regression).
+
+    Feature values are small integers over a scale, so cuts tie; rows repeat,
+    some columns are constant or copies of another (equal impurity across
+    features), nodes go down to 2 rows and k up to d.  ``idx`` is an
+    unordered subset of the sample's rows.
+    """
+    d = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 3.0, 7.0]))
+    distinct = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                      max_size=d), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2,
+                          max_size=30))
+    X = np.asarray(distinct, dtype=float)[picks] / scale
+    for f in range(d):
+        column = draw(st.sampled_from(["own", "own", "constant", "copy"]))
+        if column == "constant":
+            X[:, f] = X[0, f]
+        elif column == "copy":
+            X[:, f] = X[:, draw(st.integers(0, d - 1))]
+    n = X.shape[0]
+    regression = draw(st.booleans())
+    if regression:
+        t = np.asarray(draw(st.lists(st.integers(-4, 4), min_size=n,
+                                     max_size=n)), dtype=float) / scale
+        payload = np.column_stack([t, t * t])
+    else:
+        n_classes = draw(st.integers(1, 5))
+        labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                               max_size=n))
+        payload = np.zeros((n, n_classes))
+        payload[np.arange(n), labels] = 1.0
+    idx = np.asarray(draw(st.permutations(range(n))))[:draw(st.integers(2, n))]
+    k = draw(st.integers(1, d))
+    feats = np.sort(np.asarray(draw(st.permutations(range(d))))[:k])
+    return X, payload, idx, feats, regression
+
+
+class TestSplitScan:
+    @settings(max_examples=400, deadline=None)
+    @given(split_nodes())
+    def test_matches_per_feature_reference(self, node):
+        X, payload, idx, feats, regression = node
+        ws = _Workspace(feats.size, X.shape[0], payload.shape[1])
+        cut_impurity = _sse_of_cuts if regression else _gini_of_cuts
+        split = _best_split(np.ascontiguousarray(X.T), payload, idx, feats,
+                            cut_impurity, ws)
+        expected = reference_best_split(X, payload, idx, feats, regression)
+        if expected is None:
+            assert split is None
+            return
+        f, thr, goes_left = split
+        assert (f, thr) == expected
+        np.testing.assert_array_equal(goes_left, X[idx, f] <= thr)
+        assert 0 < goes_left.sum() < idx.size

@@ -42,6 +42,7 @@ from flowal.errors import (
     LengthMismatch,
     UntrainedRegressor,
 )
+from flowal.forest import _Tree
 from flowal.strategies import uncertainty_scores
 from tests.test_forest import constant_tree, hand_model
 
@@ -346,6 +347,24 @@ class TestLal:
         state = lal_state_features(model, 12, ds.features[0])
         assert state.shape == (8,)
         assert np.isfinite(state).all()
+
+    def test_states_route_each_tree_once(self, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=20,
+                                              n_features=5, seed=0))
+        model = fit_forest(ds, ForestParams(n_trees=7), 0)
+        X = ds.features[:15]
+        depth = np.zeros(len(X))
+        for tree in model.trees:
+            depth += tree.depth[tree.apply(X)]
+        P = model.predict_proba_many(X)
+        routed = []
+        apply = _Tree.apply
+        monkeypatch.setattr(
+            _Tree, "apply", lambda tree, X: routed.append(tree) or apply(tree, X))
+        states = lal_state_features(model, 12, X)
+        assert len(routed) == model.n_trees
+        np.testing.assert_array_equal(states[:, 0], P.max(axis=1))
+        np.testing.assert_array_equal(states[:, 6], depth / model.n_trees)
 
     def test_uncertain_candidates_score_higher(self):
         # oracle: the recorded Monte-Carlo pairs themselves, then the fitted
