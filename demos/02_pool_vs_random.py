@@ -15,8 +15,8 @@ from flowal import (
     SyntheticSpec,
     generate_synthetic,
     make_pool,
-    round_half_up,
     run_pool_loop,
+    subset_size,
 )
 
 ds = generate_synthetic(SyntheticSpec(n_classes=12, per_class=200,
@@ -24,7 +24,7 @@ ds = generate_synthetic(SyntheticSpec(n_classes=12, per_class=200,
                                       seed=7))
 params = ForestParams(n_trees=25)
 pool = make_pool(ds, test_fraction=0.3, n_seed=48, seed=0)
-budget = round_half_up(0.10 * len(pool.unlabeled))
+budget = subset_size(0.10, len(pool.unlabeled))
 oracle = Oracle(ds, noise_rate=0.0, seed=0)
 stop = StoppingCriteria(max_queries=budget)
 

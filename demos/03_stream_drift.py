@@ -21,8 +21,8 @@ from flowal import (
     evaluate_accuracy,
     fit_forest,
     generate_synthetic,
-    round_half_up,
     run_stream_loop,
+    subset_size,
 )
 
 n_classes, per_class, shift = 3, 300, 5.0
@@ -41,13 +41,13 @@ test = generate_synthetic(SyntheticSpec(
 params = ForestParams(n_trees=25)
 oracle = Oracle(stream, noise_rate=0.0, seed=1)
 
-n_seed = round_half_up(0.05 * n)
+n_seed = subset_size(0.05, n)
 frozen = fit_forest(stream.subset(np.arange(n_seed)), params, seed=1)
 print(f"frozen model (trained on the first {n_seed} flows, never updated): "
       f"post-drift accuracy {evaluate_accuracy(frozen, test):.4f}")
 
 config = StreamConfig(measure="entropy", threshold=0.3,
-                      max_label_budget=round_half_up(0.2 * n),
+                      max_label_budget=subset_size(0.2, n),
                       seed_fraction=0.05, retrain_every=20)
 history = run_stream_loop(stream, test, config, params, oracle,
                           StoppingCriteria(max_queries=10 ** 9), seed=1)

@@ -27,6 +27,7 @@ from .dataset import (
     round_half_up,
     shuffle_and_subset,
     standardize,
+    subset_size,
 )
 from .engine import (
     IterationRecord,

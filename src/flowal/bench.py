@@ -7,6 +7,11 @@ the cell's total label budget.  Each cell yields one row carrying the final
 accuracy, elapsed training + selection time, TAR, TTR, and the raw fields
 they derive from, so every ratio is recomputable from the emitted report.
 
+The LAL regressor does not depend on the dataset, so each distinct
+``LalParams`` is trained once per experiment and shared by every LAL cell
+that uses it.  Its training time is reported in its own raw field and kept
+out of ``time_s`` and TTR, as for an offline-trained regressor.
+
 For the random strategy a budget of f*N reduces exactly to passive training
 on a uniform f*N-record subset, which is the passive baseline the query
 strategies are compared against.
@@ -20,7 +25,7 @@ import json
 import time
 import zlib
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    round_half_up,
+    subset_size,
 )
 from .engine import (
     Clock,
@@ -45,14 +50,20 @@ from .errors import ConfigError, EmptyReport, InvalidPool
 from .forest import ForestParams, evaluate_accuracy, fit_forest
 from .metrics import TimingRecord, tar, ttr
 from .rng import derive_seed, make_rng
-from .strategies import StrategyConfig
+from .strategies import (
+    LalParams,
+    LalRegressor,
+    StrategyConfig,
+    train_lal_regressor,
+)
 
 DEFAULT_FRACTIONS = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64)
 
 FULL_BASELINE_NAME = "full"
 
 REPORT_FIELDS = ("strategy", "fraction", "seed", "time_s", "accuracy", "tar", "ttr")
-RAW_FIELDS = ("full_accuracy", "train_time_s", "select_time_s", "full_train_time_s")
+RAW_FIELDS = ("full_accuracy", "train_time_s", "select_time_s", "full_train_time_s",
+              "lal_train_time_s")
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,11 @@ class CsvSource:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One benchmark cell: a strategy at a fraction under one seed."""
+    """One benchmark cell: a strategy at a fraction under one seed.
+
+    ``lal_train_time_s`` is the one-off training time of the LAL regressor
+    the cell used (0.0 for other strategies); it is not part of ``time_s``.
+    """
 
     strategy: str
     fraction: float
@@ -76,6 +91,7 @@ class ExperimentRow:
     train_time_s: float
     select_time_s: float
     full_train_time_s: float
+    lal_train_time_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -150,6 +166,8 @@ def run_experiment(config: ExperimentConfig,
     n = len(dataset)
     n_classes = dataset.schema.n_classes
     rows: List[ExperimentRow] = []
+    # trained on first use; LalParams is frozen, so equal params share one
+    lal: Dict[LalParams, Tuple[LalRegressor, float]] = {}
     for seed in config.seeds:
         try:
             test_idx, pool_idx = holdout_split(n, config.test_fraction, seed)
@@ -177,7 +195,7 @@ def run_experiment(config: ExperimentConfig,
             # identical however the config orders them or the runner schedules them
             name_tag = zlib.crc32(strategy.display_name.encode("utf-8"))
             for fraction in config.fractions:
-                budget = round_half_up(fraction * n)
+                budget = subset_size(fraction, n)
                 if budget < 1:
                     raise ConfigError(
                         f"fraction {fraction} yields an empty label budget")
@@ -203,9 +221,18 @@ def run_experiment(config: ExperimentConfig,
                     mq = remaining if config.stop.max_queries is None \
                         else min(config.stop.max_queries, remaining)
                     stop = replace(config.stop, max_queries=mq)
+                regressor, lal_train_time = None, 0.0
+                if strategy.kind == "lal":
+                    params = strategy.lal_params
+                    if params not in lal:
+                        t0 = clock()
+                        trained = train_lal_regressor(params)
+                        lal[params] = (trained, clock() - t0)
+                    regressor, lal_train_time = lal[params]
                 history = run_pool_loop(
                     pool, strategy, config.learner, oracle, config.batch,
-                    stop, derive_seed(seed, 12, name_tag, budget), clock=clock)
+                    stop, derive_seed(seed, 12, name_tag, budget), clock=clock,
+                    lal_regressor=regressor)
                 train_t = history.total_training_time
                 select_t = history.total_selection_time
                 acc = history.final_accuracy
@@ -216,7 +243,8 @@ def run_experiment(config: ExperimentConfig,
                     ttr=ttr(TimingRecord(train_t, select_t, full_train_time)),
                     full_accuracy=full_acc, train_time_s=train_t,
                     select_time_s=select_t,
-                    full_train_time_s=full_train_time))
+                    full_train_time_s=full_train_time,
+                    lal_train_time_s=lal_train_time))
     rows.sort(key=lambda r: (r.strategy, r.fraction, r.seed))
     return rows
 
@@ -294,8 +322,10 @@ def load_rows(path) -> List[ExperimentRow]:
     rows = []
     for entry in payload:
         try:
+            # reports written before lal_train_time_s existed lack that field
             rows.append(ExperimentRow(**{k: entry[k]
-                                         for k in REPORT_FIELDS + RAW_FIELDS}))
+                                         for k in REPORT_FIELDS + RAW_FIELDS
+                                         if k != "lal_train_time_s" or k in entry}))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed report row: {exc}") from exc
     return rows

@@ -37,7 +37,7 @@ from .dataset import (
     IngestionConfig,
     SyntheticSpec,
     generate_synthetic,
-    round_half_up,
+    subset_size,
 )
 from .engine import (
     Oracle,
@@ -385,7 +385,7 @@ def _cmd_stream(args) -> int:
     test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
     budget = cfg.int_("stream.budget")
     if budget is None:
-        budget = round_half_up(0.15 * len(stream))
+        budget = subset_size(0.15, len(stream))
     stream_cfg = StreamConfig(
         measure=cfg.get("stream.measure"),
         threshold=cfg.float_("stream.threshold"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -174,6 +175,16 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def subset_size(fraction: float, n: int) -> int:
+    """Half-up rounding of ``fraction * n``, exact for a decimal ``fraction``.
+
+    The product is taken on the fraction's decimal text, not its binary
+    float, so 0.35 * 90 is exactly 31.5 and gives 32 (the float product is
+    31.499999999999996, which would give 31).
+    """
+    return math.floor(Fraction(str(fraction)) * n + Fraction(1, 2))
+
+
 def _class_means(spec: SyntheticSpec) -> np.ndarray:
     """Deterministic class-mean layout with pairwise distance >= separation.
 
@@ -286,7 +297,7 @@ def shuffle_and_subset(dataset: Dataset, fraction: float, seed: int):
     """Shuffle and split off a fraction of the records.
 
     Returns ``(subset, remainder)`` where the subset holds the first
-    round-half-up(fraction * N) records of a seeded Fisher-Yates permutation.
+    ``subset_size(fraction, N)`` records of a seeded Fisher-Yates permutation.
     Together the two parts are a permutation of the input; nothing is
     duplicated or dropped.
     """
@@ -295,7 +306,7 @@ def shuffle_and_subset(dataset: Dataset, fraction: float, seed: int):
     n = len(dataset)
     perm = np.arange(n)
     make_rng(seed).shuffle(perm)
-    k = round_half_up(fraction * n)
+    k = subset_size(fraction, n)
     return dataset.subset(perm[:k]), dataset.subset(perm[k:])
 
 

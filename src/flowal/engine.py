@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, round_half_up
+from .dataset import Dataset, subset_size
 from .errors import (
     EmptyStream,
     IndexOutOfRange,
@@ -74,12 +74,12 @@ class PoolState:
 def holdout_split(n: int, test_fraction: float, seed: int):
     """Uniform seeded test split of ``range(n)``: (test, rest) index arrays.
 
-    The test set is the first round-half-up(test_fraction * n) entries of a
+    The test set is the first ``subset_size(test_fraction, n)`` entries of a
     seeded permutation; ``rest`` keeps the permutation's order.
     """
     perm = np.arange(n)
     make_rng(seed, 10).shuffle(perm)
-    n_test = round_half_up(test_fraction * n)
+    n_test = subset_size(test_fraction, n)
     if not 0 < n_test < n:
         raise InvalidPool(
             f"test fraction {test_fraction} of {n} records leaves no train pool")
@@ -375,7 +375,7 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     if n == 0:
         raise EmptyStream("stream has no records")
     clock = clock or time.perf_counter
-    n_seed = max(1, round_half_up(config.seed_fraction * n))
+    n_seed = max(1, subset_size(config.seed_fraction, n))
     labeled = list(range(n_seed))
     labels = [oracle_label(oracle, i) for i in labeled]
 

@@ -300,15 +300,15 @@ def train_lal_regressor(params: LalParams, *,
         model = fit_forest(labeled, inner, base_seed)
         base_error = 1.0 - evaluate_accuracy(model, test)
         n_candidates = min(8, len(pool) - n_labeled)
-        for c in range(n_candidates):
-            cand_index = n_labeled + c
-            state = lal_state_features(model, n_labeled, pool.features[cand_index])
+        candidates = n_labeled + np.arange(n_candidates)
+        states.append(_lal_state_matrix(model, n_labeled,
+                                        pool.features[candidates]))
+        for cand_index in candidates:
             extended = pool.subset(
                 np.concatenate([np.arange(n_labeled), [cand_index]])
             )
             refit = fit_forest(extended, inner, base_seed)
             reduction = base_error - (1.0 - evaluate_accuracy(refit, test))
-            states.append(state)
             targets.append(reduction)
     S = np.vstack(states)
     t = np.asarray(targets)
@@ -322,7 +322,7 @@ def train_lal_regressor(params: LalParams, *,
 def lal_score(regressor: LalRegressor, model: ForestModel,
               labeled_size: int, candidate) -> float:
     """Forecast error reduction from labeling ``candidate``; higher is better."""
-    if regressor is None or regressor.forest is None:
+    if regressor is None:
         raise UntrainedRegressor("train the LAL regressor before scoring")
     state = lal_state_features(model, labeled_size, candidate)
     return regressor.predict(state)
@@ -369,7 +369,10 @@ def needs_committee(config: StrategyConfig) -> bool:
 
 def score_pool(config: StrategyConfig, state, pool: "PoolState",
                lal_regressor: Optional[LalRegressor] = None) -> np.ndarray:
-    """Score vector aligned with ``pool.unlabeled`` (random kind excluded)."""
+    """Score vector aligned with ``pool.unlabeled`` (random kind excluded).
+
+    The lal kind scores with ``lal_regressor``, which the caller trains.
+    """
     U = np.asarray(pool.unlabeled, dtype=np.int64)
     if U.size == 0:
         raise EmptyPool("no unlabeled instances to score")
@@ -393,11 +396,10 @@ def score_pool(config: StrategyConfig, state, pool: "PoolState",
         scaler = standardize(pool.dataset.subset(train_idx))
         return information_density(base, scaler.transform(XU), config.beta)
     if kind == "lal":
-        regressor = lal_regressor
-        if regressor is None:
-            regressor = train_lal_regressor(config.lal_params)
+        if lal_regressor is None:
+            raise UntrainedRegressor("train the LAL regressor before scoring")
         states = _lal_state_matrix(state, len(pool.labeled), XU)
-        return regressor.predict_many(states)
+        return lal_regressor.predict_many(states)
     raise InvalidParams(f"{kind!r} has no score vector")
 
 

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+import flowal.bench
 from flowal import (
     ExperimentConfig,
     ExperimentRow,
     ForestParams,
+    LalParams,
     StrategyConfig,
     SyntheticSpec,
     emit_report,
@@ -15,6 +17,7 @@ from flowal import (
 )
 from flowal.bench import rows_to_csv, rows_to_json, rows_to_md
 from flowal.errors import ConfigError, EmptyReport
+from tests.test_engine import FakeClock
 
 SOURCE = SyntheticSpec(n_classes=3, per_class=200, n_features=4,
                        class_mean_separation=5.0, seed=3)
@@ -115,6 +118,76 @@ class TestRunExperiment:
             run_experiment(small_config(fractions=(0.9,), seeds=(0,)))
 
 
+def tiny_lal(seed=0):
+    return LalParams(mc_rounds=1, regressor=ForestParams(n_trees=3), seed=seed)
+
+
+def lal_strategies(*params):
+    return tuple(StrategyConfig(kind="lal", lal_params=p, name=f"lal{i}")
+                 for i, p in enumerate(params))
+
+
+class TestLalTraining:
+    @pytest.fixture
+    def trainings(self, monkeypatch):
+        calls = []
+        real = flowal.bench.train_lal_regressor
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(flowal.bench, "train_lal_regressor", counting)
+        return calls
+
+    def test_equal_params_train_once_per_experiment(self, trainings):
+        # two separately built but equal params: one training for 2 seeds
+        # x 2 fractions x 2 strategies
+        cfg = small_config(strategies=lal_strategies(tiny_lal(), tiny_lal()),
+                           seeds=(0, 1), fractions=(0.05, 0.1))
+        rows = run_experiment(cfg)
+        assert trainings == [tiny_lal()]
+        assert len([r for r in rows if r.strategy != "full"]) == 8
+
+    def test_distinct_params_train_once_each(self, trainings):
+        cfg = small_config(strategies=lal_strategies(tiny_lal(0), tiny_lal(1)),
+                           seeds=(0, 1), fractions=(0.05, 0.1))
+        run_experiment(cfg)
+        assert trainings == [tiny_lal(0), tiny_lal(1)]
+
+    def test_training_time_is_kept_out_of_ttr(self):
+        strategies = (StrategyConfig(kind="entropy"),) + lal_strategies(tiny_lal())
+        cfg = small_config(strategies=strategies, seeds=(0, 1),
+                           fractions=(0.05, 0.1))
+        rows = run_experiment(cfg, clock=FakeClock(0.25))
+        lal_rows = [r for r in rows if r.strategy == "lal0"]
+        assert len(lal_rows) == 4
+        # every cell that used the one regressor carries its training time
+        assert len({r.lal_train_time_s for r in lal_rows}) == 1
+        assert lal_rows[0].lal_train_time_s > 0
+        assert all(r.lal_train_time_s == 0.0 for r in rows
+                   if r.strategy != "lal0")
+        for r in rows:
+            assert r.time_s == r.train_time_s + r.select_time_s
+            expected = (r.train_time_s + r.select_time_s) / r.full_train_time_s
+            assert abs(r.ttr - expected) <= 1e-9
+
+    def test_shared_regressor_selects_as_a_per_cell_one(self, monkeypatch):
+        # the rows equal those of cells whose loop trains its own copy
+        cfg = small_config(strategies=lal_strategies(tiny_lal()), seeds=(0,),
+                           fractions=(0.05, 0.1))
+        shared = run_experiment(cfg)
+        real = flowal.bench.run_pool_loop
+
+        def without_regressor(*args, lal_regressor=None, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowal.bench, "run_pool_loop", without_regressor)
+        own = run_experiment(cfg)
+        key = lambda r: (r.strategy, r.fraction, r.seed, r.accuracy, r.tar)
+        assert [key(r) for r in shared] == [key(r) for r in own]
+
+
 class TestEmitReport:
     def test_csv_round_trip(self, tmp_path):
         row = sample_row()
@@ -143,6 +216,18 @@ class TestEmitReport:
         emit_report(rows, "json", path)
         assert load_rows(path) == rows
 
+    def test_json_without_lal_train_time_still_loads(self, tmp_path):
+        # reports written before the field existed
+        rows = [sample_row(), sample_row(strategy="random", seed=2)]
+        payload = json.loads(rows_to_json(rows))
+        for entry in payload:
+            del entry["lal_train_time_s"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_rows(path)
+        assert loaded == rows
+        assert all(r.lal_train_time_s == 0.0 for r in loaded)
+
     def test_md_structure(self):
         rows = [sample_row(fraction=0.01), sample_row(fraction=0.04)]
         text = rows_to_md(rows)
@@ -163,5 +248,5 @@ class TestEmitReport:
     def test_json_has_raw_fields(self):
         payload = json.loads(rows_to_json([sample_row()]))
         for key in ("full_accuracy", "train_time_s", "select_time_s",
-                    "full_train_time_s", "tar", "ttr"):
+                    "full_train_time_s", "lal_train_time_s", "tar", "ttr"):
             assert key in payload[0]

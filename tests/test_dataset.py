@@ -1,7 +1,10 @@
 import math
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowal import (
     Dataset,
@@ -14,7 +17,9 @@ from flowal import (
     round_half_up,
     shuffle_and_subset,
     standardize,
+    subset_size,
 )
+from flowal.engine import holdout_split
 from flowal.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -283,6 +288,31 @@ class TestRoundHalfUp:
     ])
     def test_values(self, x, expected):
         assert round_half_up(x) == expected
+
+
+# fractions in (0, 1) with one to four decimal digits
+DECIMAL_FRACTIONS = st.integers(1, 4).flatmap(
+    lambda digits: st.integers(1, 10 ** digits - 1).map(
+        lambda k: Decimal(k).scaleb(-digits)))
+
+
+class TestSubsetSize:
+    @settings(max_examples=300, deadline=None)
+    @given(fraction=DECIMAL_FRACTIONS, n=st.integers(0, 50_000))
+    @example(fraction=Decimal("0.35"), n=90)  # float product 31.499999999999996
+    @example(fraction=Decimal("0.7"), n=45)   # float product 31.499999999999996
+    @example(fraction=Decimal("0.005"), n=9159)
+    def test_exact_decimal_half_up(self, fraction, n):
+        want = int((fraction * n).quantize(Decimal(1), rounding=ROUND_HALF_UP))
+        assert subset_size(float(fraction), n) == want
+
+    def test_tie_the_float_product_misses(self):
+        assert 0.35 * 90 < 31.5
+        assert subset_size(0.35, 90) == 32
+        test, rest = holdout_split(90, 0.35, 0)
+        assert len(test) == 32 and len(rest) == 58
+        subset, _ = shuffle_and_subset(toy_dataset(90), 0.35, 0)
+        assert len(subset) == 32
 
 
 class TestDatasetContainer:

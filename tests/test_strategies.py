@@ -43,7 +43,7 @@ from flowal.errors import (
     UntrainedRegressor,
 )
 from flowal.forest import _Tree
-from flowal.strategies import uncertainty_scores
+from flowal.strategies import _lal_state_matrix, uncertainty_scores
 from tests.test_forest import constant_tree, hand_model
 
 
@@ -406,6 +406,41 @@ class TestLal:
         model = hand_model([constant_tree(0)])
         with pytest.raises(UntrainedRegressor):
             lal_score(None, model, 3, np.zeros(2))
+
+    def test_pool_scoring_needs_a_regressor(self):
+        pool = tiny_pool(2)
+        model = fit_forest(pool.dataset.subset(pool.labeled),
+                           ForestParams(n_trees=5), 1)
+        cfg = StrategyConfig(kind="lal")
+        with pytest.raises(UntrainedRegressor):
+            score_pool(cfg, model, pool)
+        with pytest.raises(UntrainedRegressor):
+            select_batch(cfg, model, pool, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_state_matrix_rows_match_single_row_calls(self, data):
+        # the simulation scores a round's candidates in one call; each state
+        # row must equal the one-candidate call bit for bit
+        d = data.draw(st.integers(1, 6))
+        seed = data.draw(st.integers(0, 1 << 30))
+        ds = generate_synthetic(SyntheticSpec(
+            n_classes=data.draw(st.integers(2, 4)), per_class=12,
+            n_features=d, class_mean_separation=2.0, seed=seed))
+        model = fit_forest(ds, ForestParams(n_trees=data.draw(st.integers(1, 9))),
+                           seed)
+        # rows from the training data hit split thresholds exactly
+        row = st.one_of(
+            st.sampled_from(range(len(ds))).map(lambda i: ds.features[i]),
+            st.lists(st.floats(-20, 20, allow_nan=False), min_size=d,
+                     max_size=d).map(np.array))
+        X = np.array(data.draw(st.lists(row, min_size=1, max_size=12)))
+        labeled_size = data.draw(st.integers(1, 40))
+        batch = _lal_state_matrix(model, labeled_size, X)
+        assert batch.shape == (len(X), 8)
+        for i, x in enumerate(X):
+            single = lal_state_features(model, labeled_size, x)
+            assert batch[i].tobytes() == single.tobytes()
 
 
 def tiny_pool(seed=0, n=40, n_classes=3, d=3):
