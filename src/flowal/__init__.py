@@ -23,9 +23,8 @@ from .dataset import (
     Scaler,
     SyntheticSpec,
     generate_synthetic,
+    holdout_split,
     load_csv,
-    round_half_up,
-    shuffle_and_subset,
     standardize,
     subset_size,
 )

@@ -34,6 +34,7 @@ from .dataset import (
     IngestionConfig,
     SyntheticSpec,
     generate_synthetic,
+    holdout_split,
     load_csv,
     subset_size,
 )
@@ -42,7 +43,6 @@ from .engine import (
     Oracle,
     PoolState,
     StoppingCriteria,
-    holdout_split,
     oracle_label,
     run_pool_loop,
 )

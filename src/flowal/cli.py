@@ -37,6 +37,7 @@ from .dataset import (
     IngestionConfig,
     SyntheticSpec,
     generate_synthetic,
+    holdout_split,
     subset_size,
 )
 from .engine import (
@@ -44,7 +45,6 @@ from .engine import (
     Stabilization,
     StoppingCriteria,
     StreamConfig,
-    holdout_split,
     run_stream_loop,
 )
 from .errors import (
@@ -377,8 +377,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stream(args) -> int:
     cfg = _load_config(args.config)
+    seeds = [args.seed] if args.seed is not None else cfg.int_list("seeds")
+    if not seeds:
+        raise ConfigError("seeds must be non-empty")
+    seed = seeds[0]
     dataset = load_source(_source(cfg, args.seed))
-    seed = args.seed if args.seed is not None else cfg.int_list("seeds")[0]
     test_idx, rest = holdout_split(len(dataset), cfg.float_("test_fraction"),
                                    seed)
     # the stream keeps dataset order, so a drift onset stays a stream position

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
-    InvalidFraction,
+    InvalidPool,
     InvalidSchema,
     InvalidSpec,
     MissingColumn,
@@ -170,11 +170,6 @@ class IngestionConfig:
     strict: bool = True
 
 
-def round_half_up(x: float) -> int:
-    """Round to nearest integer with .5 going up (never banker's rounding)."""
-    return int(math.floor(x + 0.5))
-
-
 def subset_size(fraction: float, n: int) -> int:
     """Half-up rounding of ``fraction * n``, exact for a decimal ``fraction``.
 
@@ -293,21 +288,23 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
     return Dataset(schema, np.vstack(rows), labels)
 
 
-def shuffle_and_subset(dataset: Dataset, fraction: float, seed: int):
-    """Shuffle and split off a fraction of the records.
+def holdout_split(n: int, test_fraction: float, seed: int):
+    """Uniform seeded test split of ``range(n)``: (test, rest) index arrays.
 
-    Returns ``(subset, remainder)`` where the subset holds the first
-    ``subset_size(fraction, N)`` records of a seeded Fisher-Yates permutation.
-    Together the two parts are a permutation of the input; nothing is
-    duplicated or dropped.
+    The test set is the first ``subset_size(test_fraction, n)`` entries of a
+    seeded permutation; ``rest`` keeps the permutation's order.  Together
+    they are a permutation of ``range(n)``, and neither may be empty.
     """
-    if not 0 < fraction <= 1:
-        raise InvalidFraction(f"fraction must be in (0, 1], got {fraction}")
-    n = len(dataset)
     perm = np.arange(n)
-    make_rng(seed).shuffle(perm)
-    k = subset_size(fraction, n)
-    return dataset.subset(perm[:k]), dataset.subset(perm[k:])
+    make_rng(seed, 10).shuffle(perm)
+    n_test = subset_size(test_fraction, n)
+    if n_test < 1:
+        raise InvalidPool(
+            f"test fraction {test_fraction} of {n} records leaves no test set")
+    if n_test >= n:
+        raise InvalidPool(
+            f"test fraction {test_fraction} of {n} records leaves no train pool")
+    return perm[:n_test], perm[n_test:]
 
 
 @dataclass(frozen=True)

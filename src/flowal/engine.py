@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, subset_size
+from .dataset import Dataset, holdout_split, subset_size
 from .errors import (
     EmptyStream,
     IndexOutOfRange,
@@ -69,21 +69,6 @@ class PoolState:
         n = len(self.dataset)
         if combined and (min(combined) < 0 or max(combined) >= n):
             raise InvalidPool("pool index outside the dataset")
-
-
-def holdout_split(n: int, test_fraction: float, seed: int):
-    """Uniform seeded test split of ``range(n)``: (test, rest) index arrays.
-
-    The test set is the first ``subset_size(test_fraction, n)`` entries of a
-    seeded permutation; ``rest`` keeps the permutation's order.
-    """
-    perm = np.arange(n)
-    make_rng(seed, 10).shuffle(perm)
-    n_test = subset_size(test_fraction, n)
-    if not 0 < n_test < n:
-        raise InvalidPool(
-            f"test fraction {test_fraction} of {n} records leaves no train pool")
-    return perm[:n_test], perm[n_test:]
 
 
 def make_pool(dataset: Dataset, test_fraction: float, n_seed: int,
@@ -368,8 +353,9 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     initial model (recorded as the first iteration).  Each later instance is
     measured once and either queried or discarded forever; the model refits
     after every ``retrain_every`` queried instances and once more at the end
-    if queries are pending.  ``test`` is a held-out set used for the accuracy
-    record and accuracy-based stopping.
+    if queries are pending.  Querying stops for good once the queries reach
+    ``min(max_label_budget, stop.max_queries)``.  ``test`` is a held-out set
+    used for the accuracy record and accuracy-based stopping.
     """
     n = len(stream)
     if n == 0:
@@ -386,9 +372,12 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
                           learner, derive_seed(seed, 13, iteration))
 
     model, stopped = run.refit(fit, len(labeled), ())
+    cap = config.max_label_budget
+    if stop.max_queries is not None:
+        cap = min(cap, stop.max_queries)
     pending: List[int] = []
     for i in range(n_seed, n):
-        if stopped or len(labeled) - n_seed >= config.max_label_budget:
+        if stopped or len(labeled) - n_seed >= cap:
             break
         t0 = clock()
         probs = model.predict_proba_many(stream.features[i:i + 1])

@@ -42,10 +42,6 @@ class DimensionMismatch(DatasetError):
     pass
 
 
-class InvalidFraction(DatasetError):
-    pass
-
-
 class InvalidSpec(DatasetError):
     pass
 

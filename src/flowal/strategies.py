@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .dataset import SyntheticSpec, generate_synthetic, shuffle_and_subset, standardize
+from .dataset import SyntheticSpec, generate_synthetic, holdout_split, standardize
 from .errors import (
     BatchTooLarge,
     EmptyCommittee,
@@ -292,7 +292,9 @@ def train_lal_regressor(params: LalParams, *,
             noise_stddev=1.0,
             seed=int(rng.integers(0, 1 << 62)),
         )
-        test, pool = shuffle_and_subset(generate_synthetic(spec), 0.4, spec.seed)
+        task = generate_synthetic(spec)
+        test_idx, pool_idx = holdout_split(len(task), 0.4, spec.seed)
+        test, pool = task.subset(test_idx), task.subset(pool_idx)
         n_labeled = int(rng.integers(max(n_classes + 1, 5), 21))
         n_labeled = min(n_labeled, len(pool) - 1)
         base_seed = int(rng.integers(0, 1 << 62))

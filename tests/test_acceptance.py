@@ -34,18 +34,18 @@ from flowal import (
     least_confidence,
     make_pool,
     margin,
-    round_half_up,
     run_pool_loop,
     run_stream_loop,
     select_batch,
-    shuffle_and_subset,
     standardize,
+    subset_size,
     tar,
     train_lal_regressor,
     ttr,
     vote_entropy,
 )
 from flowal.cli import cli_main
+from tests.test_engine import seeded_split
 
 
 def report(number, message):
@@ -198,7 +198,7 @@ class TestCriterion4PoolBeatsRandom:
         gaps = []
         for seed in range(10):
             pool = make_pool(ds, 0.3, 60, seed)
-            budget = round_half_up(0.10 * len(pool.unlabeled))
+            budget = subset_size(0.10, len(pool.unlabeled))
             oracle = Oracle(ds, 0.0, seed)
             stop = StoppingCriteria(max_queries=budget)
             accs = {}
@@ -220,13 +220,13 @@ class TestCriterion5StreamScenario:
         started = time.perf_counter()
         ds = generate_synthetic(EASY12)
         params = ForestParams(n_trees=25)
-        test0, rest0 = shuffle_and_subset(ds, 0.3, 999)
+        test0, rest0 = seeded_split(ds, 0.3, 999)
         full_acc = evaluate_accuracy(fit_forest(rest0, params, 0), test0)
         assert full_acc >= 0.98  # feasibility oracle before the criterion
         hits = 0
         for seed in range(10):
-            test, stream = shuffle_and_subset(ds, 0.3, seed)
-            budget = round_half_up(0.15 * len(stream))
+            test, stream = seeded_split(ds, 0.3, seed)
+            budget = subset_size(0.15, len(stream))
             cfg = StreamConfig(measure="entropy", threshold=0.5,
                                max_label_budget=budget, seed_fraction=0.01,
                                retrain_every=25)

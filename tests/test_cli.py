@@ -80,6 +80,16 @@ class TestUsageErrors:
         assert "error:" in err and setting.split(" ")[0].split(".")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "stream"])
+    def test_empty_seed_list_exits_1(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path,
+                           SYNTH_CONFIG.replace("seeds = 0,1", "seeds = ,"))
+        assert cli_main([command, "--config", cfg,
+                         "--output", str(tmp_path / "r.csv"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: seeds must be non-empty" in err
+        assert "Traceback" not in err
+
     def test_bad_csv_data_exits_2(self, tmp_path):
         data = tmp_path / "flows.csv"
         data.write_text("a,label\n1,x\nbad,y\n", encoding="utf-8")

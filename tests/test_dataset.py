@@ -3,7 +3,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowal import (
@@ -13,17 +13,15 @@ from flowal import (
     IngestionConfig,
     SyntheticSpec,
     generate_synthetic,
+    holdout_split,
     load_csv,
-    round_half_up,
-    shuffle_and_subset,
     standardize,
     subset_size,
 )
-from flowal.engine import holdout_split
 from flowal.errors import (
     DimensionMismatch,
     EmptyDataset,
-    InvalidFraction,
+    InvalidPool,
     InvalidSchema,
     InvalidSpec,
     MissingColumn,
@@ -149,42 +147,54 @@ def toy_dataset(n, d=1):
     return Dataset(schema, features, labels)
 
 
-class TestShuffleAndSubset:
-    def test_identity_fraction(self):
-        ds = toy_dataset(10)
-        subset, rest = shuffle_and_subset(ds, 1.0, 3)
-        assert len(subset) == 10 and len(rest) == 0
+SEEDS = st.integers(0, (1 << 64) - 1)
+
+
+class TestHoldoutSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 400), fraction=st.floats(0.0, 1.0), seed=SEEDS)
+    def test_partition_property(self, n, fraction, seed):
+        n_test = subset_size(fraction, n)
+        assume(0 < n_test < n)
+        test, rest = holdout_split(n, fraction, seed)
+        assert len(test) == n_test and len(rest) == n - n_test
+        assert sorted(np.concatenate([test, rest]).tolist()) == list(range(n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 400), seed=SEEDS)
+    def test_determinism(self, n, seed):
+        test1, rest1 = holdout_split(n, 0.3, seed)
+        test2, rest2 = holdout_split(n, 0.3, seed)
+        np.testing.assert_array_equal(test1, test2)
+        np.testing.assert_array_equal(rest1, rest2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 400), fraction=st.floats(-0.5, 1.5), seed=SEEDS)
+    @example(n=5, fraction=0.0, seed=0)
+    @example(n=5, fraction=-0.2, seed=0)
+    @example(n=5, fraction=1.5, seed=0)
+    def test_invalid_fractions(self, n, fraction, seed):
+        # InvalidPool exactly when the test set or the train pool is empty
+        n_test = subset_size(fraction, n)
+        if 0 < n_test < n:
+            holdout_split(n, fraction, seed)
+            return
+        empty = "no test set" if n_test < 1 else "no train pool"
+        with pytest.raises(InvalidPool, match=empty):
+            holdout_split(n, fraction, seed)
+
+    def test_identity_fraction_leaves_no_train_pool(self):
+        with pytest.raises(InvalidPool, match="leaves no train pool"):
+            holdout_split(10, 1.0, 3)
+        # 0.001 * 100 rounds to an empty test side, and the message says so
+        with pytest.raises(InvalidPool, match="leaves no test set"):
+            holdout_split(100, 0.001, 3)
 
     def test_round_half_up_sizing_on_9159(self):
         # 0.005 * 9159 = 45.795, which rounds up to 46
-        ds = toy_dataset(9159)
-        subset, rest = shuffle_and_subset(ds, 0.005, 0)
-        assert len(subset) == 46
+        test, rest = holdout_split(9159, 0.005, 0)
+        assert len(test) == 46
         assert len(rest) == 9159 - 46
-
-    def test_determinism(self):
-        ds = toy_dataset(50, d=2)
-        a1, b1 = shuffle_and_subset(ds, 0.3, 42)
-        a2, b2 = shuffle_and_subset(ds, 0.3, 42)
-        np.testing.assert_array_equal(a1.features, a2.features)
-        np.testing.assert_array_equal(b1.labels, b2.labels)
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(8)
-        for trial in range(50):
-            n = int(rng.integers(1, 60))
-            frac = float(rng.uniform(0.01, 1.0))
-            ds = toy_dataset(n, d=2)
-            subset, rest = shuffle_and_subset(ds, frac, int(rng.integers(1 << 32)))
-            assert abs(len(subset) - frac * n) <= 0.5
-            merged = np.vstack([subset.features, rest.features])
-            assert sorted(map(tuple, merged)) == sorted(map(tuple, ds.features))
-
-    def test_invalid_fractions(self):
-        ds = toy_dataset(5)
-        for frac in (0.0, -0.2, 1.5):
-            with pytest.raises(InvalidFraction):
-                shuffle_and_subset(ds, frac, 0)
 
 
 class TestGenerateSynthetic:
@@ -283,11 +293,12 @@ class TestStandardize:
 
 
 class TestRoundHalfUp:
+    # subset_size(x, 1) is the library's half-up rounding of the decimal x
     @pytest.mark.parametrize("x,expected", [
         (45.795, 46), (45.5, 46), (45.4999, 45), (0.5, 1), (0.49, 0), (2.0, 2),
     ])
     def test_values(self, x, expected):
-        assert round_half_up(x) == expected
+        assert subset_size(x, 1) == expected
 
 
 # fractions in (0, 1) with one to four decimal digits
@@ -311,8 +322,6 @@ class TestSubsetSize:
         assert subset_size(0.35, 90) == 32
         test, rest = holdout_split(90, 0.35, 0)
         assert len(test) == 32 and len(rest) == 58
-        subset, _ = shuffle_and_subset(toy_dataset(90), 0.35, 0)
-        assert len(subset) == 32
 
 
 class TestDatasetContainer:

@@ -24,10 +24,9 @@ from flowal import (
     generate_synthetic,
     make_pool,
     oracle_label,
-    round_half_up,
     run_pool_loop,
     run_stream_loop,
-    shuffle_and_subset,
+    subset_size,
 )
 from flowal.errors import (
     EmptyStream,
@@ -36,6 +35,7 @@ from flowal.errors import (
     InvalidThreshold,
     NoStoppingCriterion,
 )
+from flowal.rng import make_rng
 
 
 class FakeClock:
@@ -48,6 +48,20 @@ class FakeClock:
     def __call__(self):
         self.now += self.step
         return self.now
+
+
+def seeded_split(dataset, fraction, seed):
+    """Split test data into (subset, rest) by a ``make_rng(seed)`` permutation.
+
+    The subset is the permutation's first ``subset_size(fraction, n)``
+    records.  It is a fixed recipe for building test inputs, separate from
+    the library's ``holdout_split``, so those inputs stay put when the
+    library's split changes.
+    """
+    perm = np.arange(len(dataset))
+    make_rng(seed).shuffle(perm)
+    k = subset_size(fraction, len(perm))
+    return dataset.subset(perm[:k]), dataset.subset(perm[k:])
 
 
 def toy_dataset(n, n_classes=2, d=2, seed=0):
@@ -260,7 +274,7 @@ class TestPoolLoop:
         # feasibility oracle first: the full-data forest clears 0.98
         ds = generate_synthetic(EASY12)
         params = ForestParams(n_trees=20)
-        test, rest = shuffle_and_subset(ds, 0.3, 0)
+        test, rest = seeded_split(ds, 0.3, 0)
         assert evaluate_accuracy(fit_forest(rest, params, 0), test) >= 0.98
         hits = 0
         for seed in range(10):
@@ -292,7 +306,7 @@ def stream_pair(seed, spec=None, test_fraction=0.3):
     ds = generate_synthetic(spec or SyntheticSpec(
         n_classes=3, per_class=100, n_features=3,
         class_mean_separation=5.0, seed=seed))
-    test, stream = shuffle_and_subset(ds, test_fraction, seed)
+    test, stream = seeded_split(ds, test_fraction, seed)
     return stream, test
 
 
@@ -307,7 +321,7 @@ class TestStreamLoop:
                                   StoppingCriteria(max_queries=10 ** 9), 1)
         assert history.total_queries() == 30
         assert history.iterations[-1].n_labeled \
-            == round_half_up(0.05 * len(stream)) + 30
+            == subset_size(0.05, len(stream)) + 30
 
     def test_threshold_above_log_n_queries_nothing(self):
         stream, test = stream_pair(2)
@@ -331,6 +345,20 @@ class TestStreamLoop:
                                   StoppingCriteria(max_queries=10 ** 9), 3)
         # 25 queries at cadence 10: two full retrains plus the trailing partial
         assert [len(it.queried) for it in history.iterations] == [0, 10, 10, 5]
+
+    @pytest.mark.parametrize("cap,batches", [(5, [0, 5]), (15, [0, 10, 5])])
+    def test_max_queries_is_a_hard_cap(self, cap, batches):
+        # a cap between refits still stops querying at the cap exactly
+        stream, test = stream_pair(3)
+        cfg = StreamConfig(measure="entropy", threshold=0.0,
+                           max_label_budget=25, seed_fraction=0.05,
+                           retrain_every=10)
+        history = run_stream_loop(stream, test, cfg, ForestParams(n_trees=8),
+                                  Oracle(stream, 0.0, 3),
+                                  StoppingCriteria(max_queries=cap), 3)
+        assert history.total_queries() == cap
+        assert [len(it.queried) for it in history.iterations] == batches
+        assert history.stop_reason == StopReason.MAX_QUERIES
 
     def test_deterministic_history(self):
         stream, test = stream_pair(4)
@@ -363,11 +391,11 @@ class TestStreamLoop:
                 seed=1000 + seed))
             params = ForestParams(n_trees=25)
             oracle = Oracle(stream, 0.0, seed)
-            n_seed = round_half_up(0.05 * n)
+            n_seed = subset_size(0.05, n)
             frozen = fit_forest(stream.subset(np.arange(n_seed)), params, seed)
             frozen_acc = evaluate_accuracy(frozen, test)
             cfg = StreamConfig(measure="entropy", threshold=0.3,
-                               max_label_budget=round_half_up(0.2 * n),
+                               max_label_budget=subset_size(0.2, n),
                                seed_fraction=0.05, retrain_every=20)
             history = run_stream_loop(stream, test, cfg, params, oracle,
                                       StoppingCriteria(max_queries=10 ** 9),

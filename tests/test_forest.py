@@ -12,7 +12,6 @@ from flowal import (
     fit_committee,
     fit_forest,
     generate_synthetic,
-    shuffle_and_subset,
 )
 from flowal.errors import (
     DimensionMismatch,
@@ -32,6 +31,7 @@ from flowal.forest import (
     _midpoint,
     _sse_of_cuts,
 )
+from tests.test_engine import seeded_split
 
 SCHEMA2 = FeatureSchema(("f0", "f1"), ("x", "y"))
 
@@ -152,7 +152,7 @@ class TestFitForest:
         spec = SyntheticSpec(n_classes=2, per_class=300, n_features=6,
                              class_mean_separation=6.0, noise_stddev=1.0, seed=4)
         ds = generate_synthetic(spec)
-        test, pool = shuffle_and_subset(ds, 1.0 / 3.0, 7)
+        test, pool = seeded_split(ds, 1.0 / 3.0, 7)
         train = pool.subset(np.arange(200))
         assert nearest_centroid_accuracy(train, test) >= 0.99
         model = fit_forest(train, ForestParams(n_trees=30), 11)
@@ -165,7 +165,7 @@ class TestFitForest:
         ds = generate_synthetic(spec)
         wins = 0
         for seed in range(10):
-            test, pool = shuffle_and_subset(ds, 0.3, seed)
+            test, pool = seeded_split(ds, 0.3, seed)
             small = pool.subset(np.arange(max(4, len(pool) // 100)))
             params = ForestParams(n_trees=12)
             acc_small = evaluate_accuracy(fit_forest(small, params, seed), test)

@@ -11,11 +11,11 @@ from flowal import (
     f1_macro,
     fit_forest,
     generate_synthetic,
-    shuffle_and_subset,
     tar,
     ttr,
 )
 from flowal.errors import ClassOutOfRange, LengthMismatch, ZeroDenominator
+from tests.test_engine import seeded_split
 
 
 class TestTar:
@@ -90,7 +90,7 @@ class TestConfusion:
     def test_trace_over_total_equals_accuracy_cross_module(self):
         ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=40,
                                               n_features=3, seed=2))
-        test, train = shuffle_and_subset(ds, 0.4, 0)
+        test, train = seeded_split(ds, 0.4, 0)
         model = fit_forest(train, ForestParams(n_trees=9), 0)
         preds = model.predict_many(test.features)
         cm = confusion(preds, test.labels, 3)
