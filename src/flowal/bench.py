@@ -61,6 +61,7 @@ DEFAULT_FRACTIONS = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64)
 
 FULL_BASELINE_NAME = "full"
 
+REPORT_FORMATS = ("csv", "json", "md")
 REPORT_FIELDS = ("strategy", "fraction", "seed", "time_s", "accuracy", "tar", "ttr")
 RAW_FIELDS = ("full_accuracy", "train_time_s", "select_time_s", "full_train_time_s",
               "lal_train_time_s")
@@ -115,8 +116,6 @@ class ExperimentConfig:
     batch: int = 10
     seed_size: Optional[int] = None
     oracle_noise: float = 0.0
-    output: Optional[str] = None
-    format: str = "csv"
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
@@ -137,8 +136,6 @@ class ExperimentConfig:
             raise ConfigError("seed_size must be >= 1 when given")
         if not 0 <= self.oracle_noise <= 1:
             raise ConfigError("oracle_noise must be in [0, 1]")
-        if self.format not in ("csv", "json", "md"):
-            raise ConfigError(f"unknown report format {self.format!r}")
         names = [s.display_name for s in self.strategies]
         if len(set(names)) != len(names):
             raise ConfigError("strategy names collide; set distinct names")
@@ -316,7 +313,10 @@ def emit_report(rows: Sequence[ExperimentRow], format: str, path) -> None:
 def load_rows(path) -> List[ExperimentRow]:
     """Read rows back from a json report (the re-render input format)."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise EmptyReport(f"{path}: not a json report: {exc}") from None
     if not isinstance(payload, list) or not payload:
         raise EmptyReport(f"{path}: no report rows")
     rows = []

@@ -7,9 +7,10 @@ Subcommands:
   generate  write a synthetic flow CSV described by the config
   report    re-render saved json rows into csv / json / md
 
-Config files are flat ``key = value`` text; ``#`` starts a comment.  Every
-recognized key is listed in KEY_DEFAULTS (README documents them); unknown
-keys are rejected so a typo can never silently change an experiment.
+Config files are flat ``key = value`` text; ``#`` starts a comment.  KEYS
+gives every recognized key its parser and its default (README documents
+them); unknown keys are rejected so a typo can never silently change an
+experiment.  A value is parsed when a command reads it.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 runtime
 failure.
@@ -25,6 +26,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .bench import (
+    REPORT_FORMATS,
     CsvSource,
     ExperimentConfig,
     emit_report,
@@ -57,58 +59,84 @@ from .errors import (
 from .forest import ForestParams
 from .strategies import LalParams, StrategyConfig
 
-KEY_DEFAULTS = {
+
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _items(raw: str) -> List[str]:
+    return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+# (parser, what a value must be); a parser raises ValueError on a bad value
+_TEXT = (str, "text")
+_INT = (int, "an integer")
+_NUMBER = (float, "a number")
+_BOOL = (_bool, "true/false")
+_NAMES = (_items, "a comma list")
+_INTS = (lambda raw: [int(x) for x in _items(raw)], "comma-separated integers")
+_NUMBERS = (lambda raw: [float(x) for x in _items(raw)], "comma-separated numbers")
+_SQRT_OR_INT = (lambda raw: raw if raw == "sqrt" else int(raw),
+                "'sqrt' or an integer")
+
+# key: (parser, default text); None means unset
+KEYS = {
     # data source: csv
-    "data.csv": None,
-    "data.label_column": None,
-    "data.features": None,
-    "data.strict": "true",
+    "data.csv": (_TEXT, None),
+    "data.label_column": (_TEXT, None),
+    "data.features": (_NAMES, None),
+    "data.strict": (_BOOL, "true"),
     # data source: synthetic
-    "synthetic.classes": None,
-    "synthetic.per_class": None,
-    "synthetic.features": None,
-    "synthetic.separation": "6.0",
-    "synthetic.noise": "1.0",
-    "synthetic.seed": "0",
-    "synthetic.drift_onset": None,
-    "synthetic.drift_shift": None,
+    "synthetic.classes": (_INT, None),
+    "synthetic.per_class": (_INT, None),
+    "synthetic.features": (_INT, None),
+    "synthetic.separation": (_NUMBER, "6.0"),
+    "synthetic.noise": (_NUMBER, "1.0"),
+    "synthetic.seed": (_INT, "0"),
+    "synthetic.drift_onset": (_INT, None),
+    "synthetic.drift_shift": (_NUMBERS, None),
     # experiment
-    "test_fraction": "0.3",
-    "fractions": "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64",
-    "seeds": "0",
-    "batch": "10",
-    "seed_size": None,
-    "include_full_baseline": "true",
-    "oracle_noise": "0.0",
-    "strategies": "entropy,random",
-    "strategy.seed": "0",
-    "qbc.committee_size": "5",
-    "density.beta": "1.0",
-    "density.base": "entropy",
-    "lal.mc_rounds": "40",
-    "lal.trees": "40",
-    "lal.seed": "0",
+    "test_fraction": (_NUMBER, "0.3"),
+    "fractions": (_NUMBERS, "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64"),
+    "seeds": (_INTS, "0"),
+    "batch": (_INT, "10"),
+    "seed_size": (_INT, None),
+    "include_full_baseline": (_BOOL, "true"),
+    "oracle_noise": (_NUMBER, "0.0"),
+    "strategies": (_NAMES, "entropy,random"),
+    "strategy.seed": (_INT, "0"),
+    "qbc.committee_size": (_INT, "5"),
+    "density.beta": (_NUMBER, "1.0"),
+    "density.base": (_TEXT, "entropy"),
+    "lal.mc_rounds": (_INT, "40"),
+    "lal.trees": (_INT, "40"),
+    "lal.seed": (_INT, "0"),
     # learner
-    "learner.trees": "50",
-    "learner.max_depth": None,
-    "learner.min_samples_split": "2",
-    "learner.features_per_split": "sqrt",
-    "learner.bootstrap": "true",
+    "learner.trees": (_INT, "50"),
+    "learner.max_depth": (_INT, None),
+    "learner.min_samples_split": (_INT, "2"),
+    "learner.features_per_split": (_SQRT_OR_INT, "sqrt"),
+    "learner.bootstrap": (_BOOL, "true"),
     # stopping
-    "stop.accuracy": None,
-    "stop.max_queries": None,
-    "stop.time_budget": None,
-    "stop.window": None,
-    "stop.epsilon": None,
+    "stop.accuracy": (_NUMBER, None),
+    "stop.max_queries": (_INT, None),
+    "stop.time_budget": (_NUMBER, None),
+    "stop.window": (_INT, None),
+    "stop.epsilon": (_NUMBER, None),
     # stream
-    "stream.measure": "entropy",
-    "stream.threshold": "0.5",
-    "stream.budget": None,
-    "stream.seed_fraction": "0.01",
-    "stream.retrain_every": "10",
+    "stream.measure": (_TEXT, "entropy"),
+    "stream.threshold": (_NUMBER, "0.5"),
+    "stream.budget": (_INT, None),
+    "stream.seed_fraction": (_NUMBER, "0.01"),
+    "stream.retrain_every": (_INT, "10"),
     # output
-    "output": None,
-    "format": "csv",
+    "output": (_TEXT, None),
+    "format": (_TEXT, "csv"),
 }
 
 
@@ -133,7 +161,7 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KEY_DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
@@ -142,68 +170,24 @@ def parse_config_text(text: str) -> dict:
 
 
 class _Config:
-    """Typed access over parsed key/value pairs with defaults."""
+    """Parsed access over config key/value pairs, falling back to KEYS."""
 
     def __init__(self, values: dict):
         self.values = values
 
-    def get(self, key: str) -> Optional[str]:
-        if key in self.values:
-            return self.values[key]
-        return KEY_DEFAULTS[key]
-
-    def has(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def _typed(self, key, cast, what):
-        raw = self.get(key)
+    def get(self, key: str):
+        """``key``'s value through its KEYS parser, or None when unset."""
+        (parse, what), default = KEYS[key]
+        raw = self.values.get(key, default)
         if raw is None:
             return None
         try:
-            return cast(raw)
+            return parse(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
 
-    def int_(self, key):
-        return self._typed(key, int, "an integer")
-
-    def float_(self, key):
-        return self._typed(key, float, "a number")
-
-    def bool_(self, key):
-        raw = self.get(key)
-        if raw is None:
-            return None
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-
-    def list_(self, key):
-        raw = self.get(key)
-        if raw is None:
-            return None
-        return [item.strip() for item in raw.split(",") if item.strip()]
-
-    def float_list(self, key):
-        items = self.list_(key)
-        if items is None:
-            return None
-        try:
-            return [float(x) for x in items]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers") from None
-
-    def int_list(self, key):
-        items = self.list_(key)
-        if items is None:
-            return None
-        try:
-            return [int(x) for x in items]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated integers") from None
+    def has(self, key: str) -> bool:
+        return self.values.get(key, KEYS[key][1]) is not None
 
 
 def _load_config(path: Optional[str]) -> _Config:
@@ -216,24 +200,51 @@ def _load_config(path: Optional[str]) -> _Config:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _resolve(args):
+    """Load a command's config and decide its seeds, output path and format.
+
+    Runs before any data is loaded.  A flag beats its config key, which
+    beats the KEYS default.  Seeds and format are None for a command
+    without those flags; ``report`` reads no config.
+    """
+    cfg = _load_config(args.config) if "config" in args else _Config({})
+    seeds = None
+    if "seed" in args:
+        seeds = cfg.get("seeds") if args.seed is None else [args.seed]
+        if not seeds:
+            raise ConfigError("seeds must be non-empty")
+    output = args.output or cfg.get("output")
+    if output is None:
+        raise ConfigError(f"{args.command} needs an output path "
+                          f"(--output or config 'output')")
+    fmt = None
+    if "format" in args:
+        fmt = args.format or cfg.get("format")
+        if fmt not in REPORT_FORMATS:
+            raise ConfigError(f"unknown report format {fmt!r}")
+    return cfg, seeds, output, fmt
+
+
 def _synthetic_spec(cfg: _Config, seed_override: Optional[int]) -> SyntheticSpec:
     for key in ("synthetic.classes", "synthetic.per_class", "synthetic.features"):
         if not cfg.has(key):
             raise ConfigError(f"synthetic source needs {key}")
+    onset = cfg.get("synthetic.drift_onset")
+    shift = cfg.get("synthetic.drift_shift")
     drift = None
-    if cfg.has("synthetic.drift_onset"):
-        if not cfg.has("synthetic.drift_shift"):
-            raise ConfigError("synthetic.drift_onset needs synthetic.drift_shift")
-        shift = cfg.float_list("synthetic.drift_shift")
-        drift = DriftSpec(onset_index=cfg.int_("synthetic.drift_onset"),
+    if onset is not None or shift is not None:
+        if onset is None or shift is None:
+            raise ConfigError(
+                "drift needs both synthetic.drift_onset and synthetic.drift_shift")
+        drift = DriftSpec(onset_index=onset,
                           mean_shift=shift[0] if len(shift) == 1 else shift)
-    seed = seed_override if seed_override is not None else cfg.int_("synthetic.seed")
+    seed = seed_override if seed_override is not None else cfg.get("synthetic.seed")
     return SyntheticSpec(
-        n_classes=cfg.int_("synthetic.classes"),
-        per_class=cfg.int_("synthetic.per_class"),
-        n_features=cfg.int_("synthetic.features"),
-        class_mean_separation=cfg.float_("synthetic.separation"),
-        noise_stddev=cfg.float_("synthetic.noise"),
+        n_classes=cfg.get("synthetic.classes"),
+        per_class=cfg.get("synthetic.per_class"),
+        n_features=cfg.get("synthetic.features"),
+        class_mean_separation=cfg.get("synthetic.separation"),
+        noise_stddev=cfg.get("synthetic.noise"),
         drift=drift,
         seed=seed,
     )
@@ -249,43 +260,35 @@ def _source(cfg: _Config, seed_override: Optional[int]):
             raise ConfigError("data.csv needs data.label_column")
         ingestion = IngestionConfig(
             label_column=cfg.get("data.label_column"),
-            feature_columns=cfg.list_("data.features"),
-            strict=cfg.bool_("data.strict"),
+            feature_columns=cfg.get("data.features"),
+            strict=cfg.get("data.strict"),
         )
         return CsvSource(cfg.get("data.csv"), ingestion)
     return _synthetic_spec(cfg, seed_override)
 
 
 def _learner(cfg: _Config) -> ForestParams:
-    fps = cfg.get("learner.features_per_split")
-    if fps != "sqrt":
-        try:
-            fps = int(fps)
-        except ValueError:
-            raise ConfigError(
-                "learner.features_per_split: expected 'sqrt' or an integer"
-            ) from None
     try:
         return ForestParams(
-            n_trees=cfg.int_("learner.trees"),
-            max_depth=cfg.int_("learner.max_depth"),
-            min_samples_split=cfg.int_("learner.min_samples_split"),
-            features_per_split=fps,
-            bootstrap=cfg.bool_("learner.bootstrap"),
+            n_trees=cfg.get("learner.trees"),
+            max_depth=cfg.get("learner.max_depth"),
+            min_samples_split=cfg.get("learner.min_samples_split"),
+            features_per_split=cfg.get("learner.features_per_split"),
+            bootstrap=cfg.get("learner.bootstrap"),
         )
     except ValueError as exc:
         raise ConfigError(f"learner: {exc}") from exc
 
 
 def _strategies(cfg: _Config) -> List[StrategyConfig]:
-    kinds = cfg.list_("strategies")
+    kinds = cfg.get("strategies")
     if not kinds:
         raise ConfigError("strategies must name at least one strategy")
     try:
         lal = LalParams(
-            mc_rounds=cfg.int_("lal.mc_rounds"),
-            regressor=ForestParams(n_trees=cfg.int_("lal.trees")),
-            seed=cfg.int_("lal.seed"),
+            mc_rounds=cfg.get("lal.mc_rounds"),
+            regressor=ForestParams(n_trees=cfg.get("lal.trees")),
+            seed=cfg.get("lal.seed"),
         )
     except (ValueError, InvalidParams) as exc:
         raise ConfigError(f"lal: {exc}") from exc
@@ -294,23 +297,23 @@ def _strategies(cfg: _Config) -> List[StrategyConfig]:
         try:
             out.append(StrategyConfig(
                 kind=kind,
-                beta=cfg.float_("density.beta"),
+                beta=cfg.get("density.beta"),
                 base_informativeness=cfg.get("density.base"),
-                committee_size=cfg.int_("qbc.committee_size"),
+                committee_size=cfg.get("qbc.committee_size"),
                 lal_params=lal,
-                seed=cfg.int_("strategy.seed"),
+                seed=cfg.get("strategy.seed"),
             ))
         except FlowalError as exc:
             raise ConfigError(f"strategy {kind!r}: {exc}") from exc
     return out
 
 
-def _stopping(cfg: _Config, default_none=True) -> Optional[StoppingCriteria]:
-    acc = cfg.float_("stop.accuracy")
-    mq = cfg.int_("stop.max_queries")
-    tb = cfg.float_("stop.time_budget")
-    window = cfg.int_("stop.window")
-    eps = cfg.float_("stop.epsilon")
+def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
+    acc = cfg.get("stop.accuracy")
+    mq = cfg.get("stop.max_queries")
+    tb = cfg.get("stop.time_budget")
+    window = cfg.get("stop.window")
+    eps = cfg.get("stop.epsilon")
     stab = None
     if window is not None or eps is not None:
         if window is None or eps is None:
@@ -325,45 +328,34 @@ def _stopping(cfg: _Config, default_none=True) -> Optional[StoppingCriteria]:
         raise ConfigError(f"stop: {exc}") from exc
 
 
-def _experiment_config(cfg: _Config, args) -> ExperimentConfig:
-    seeds = [args.seed] if args.seed is not None else cfg.int_list("seeds")
-    output = args.output or cfg.get("output")
-    fmt = args.format or cfg.get("format")
-    if output is None:
-        raise ConfigError("run needs an output path (config 'output' or --output)")
+def _experiment_config(cfg: _Config, seeds: List[int],
+                       seed_override: Optional[int]) -> ExperimentConfig:
     return ExperimentConfig(
-        source=_source(cfg, args.seed),
+        source=_source(cfg, seed_override),
         strategies=tuple(_strategies(cfg)),
         seeds=tuple(seeds),
         learner=_learner(cfg),
-        test_fraction=cfg.float_("test_fraction"),
-        fractions=tuple(cfg.float_list("fractions")),
-        include_full_baseline=cfg.bool_("include_full_baseline"),
+        test_fraction=cfg.get("test_fraction"),
+        fractions=tuple(cfg.get("fractions")),
+        include_full_baseline=cfg.get("include_full_baseline"),
         stop=_stopping(cfg),
-        batch=cfg.int_("batch"),
-        seed_size=cfg.int_("seed_size"),
-        oracle_noise=cfg.float_("oracle_noise"),
-        output=output,
-        format=fmt,
+        batch=cfg.get("batch"),
+        seed_size=cfg.get("seed_size"),
+        oracle_noise=cfg.get("oracle_noise"),
     )
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    config = _experiment_config(cfg, args)
-    rows = run_experiment(config)
-    emit_report(rows, config.format, config.output)
-    _info(args, f"wrote {len(rows)} rows to {config.output}")
+    cfg, seeds, output, fmt = _resolve(args)
+    rows = run_experiment(_experiment_config(cfg, seeds, args.seed))
+    emit_report(rows, fmt, output)
+    _info(args, f"wrote {len(rows)} rows to {output}")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _synthetic_spec(cfg, args.seed)
-    output = args.output or cfg.get("output")
-    if output is None:
-        raise ConfigError("generate needs an output path")
-    dataset = generate_synthetic(spec)
+    cfg, _, output, _ = _resolve(args)
+    dataset = generate_synthetic(_synthetic_spec(cfg, args.synthetic_seed))
     with open(output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.schema.feature_names) + ["label"])
@@ -376,34 +368,30 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    cfg = _load_config(args.config)
-    seeds = [args.seed] if args.seed is not None else cfg.int_list("seeds")
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
+    cfg, seeds, output, fmt = _resolve(args)
+    if len(seeds) > 1:
+        raise ConfigError(f"stream takes exactly one seed, got seeds = "
+                          f"{','.join(map(str, seeds))}")
     seed = seeds[0]
+    learner, stop = _learner(cfg), _stopping(cfg)
     dataset = load_source(_source(cfg, args.seed))
-    test_idx, rest = holdout_split(len(dataset), cfg.float_("test_fraction"),
-                                   seed)
+    test_idx, rest = holdout_split(len(dataset), cfg.get("test_fraction"), seed)
     # the stream keeps dataset order, so a drift onset stays a stream position
     test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
-    budget = cfg.int_("stream.budget")
+    budget = cfg.get("stream.budget")
     if budget is None:
         budget = subset_size(0.15, len(stream))
     stream_cfg = StreamConfig(
         measure=cfg.get("stream.measure"),
-        threshold=cfg.float_("stream.threshold"),
+        threshold=cfg.get("stream.threshold"),
         max_label_budget=budget,
-        seed_fraction=cfg.float_("stream.seed_fraction"),
-        retrain_every=cfg.int_("stream.retrain_every"),
+        seed_fraction=cfg.get("stream.seed_fraction"),
+        retrain_every=cfg.get("stream.retrain_every"),
     )
-    stop = _stopping(cfg) or StoppingCriteria(max_queries=budget)
-    oracle = Oracle(dataset=stream, noise_rate=cfg.float_("oracle_noise"), seed=seed)
-    history = run_stream_loop(stream, test, stream_cfg, _learner(cfg), oracle,
+    stop = stop or StoppingCriteria(max_queries=budget)
+    oracle = Oracle(dataset=stream, noise_rate=cfg.get("oracle_noise"), seed=seed)
+    history = run_stream_loop(stream, test, stream_cfg, learner, oracle,
                               stop, seed)
-    output = args.output or cfg.get("output")
-    if output is None:
-        raise ConfigError("stream needs an output path")
-    fmt = args.format or cfg.get("format")
     _write_history(history, fmt, output)
     _info(args, f"stream stopped: {history.stop_reason.value}; "
                 f"final accuracy {history.final_accuracy:.4f}; "
@@ -412,6 +400,7 @@ def _cmd_stream(args) -> int:
 
 
 def _write_history(history, fmt: str, path) -> None:
+    """Write a stream history as csv, json or md (``fmt`` is already checked)."""
     records = [
         {
             "iteration": i,
@@ -434,7 +423,7 @@ def _write_history(history, fmt: str, path) -> None:
         writer.writeheader()
         writer.writerows(records)
         text = buf.getvalue()
-    elif fmt == "md":
+    else:
         lines = ["| iteration | n_labeled | n_queried | accuracy |",
                  "|---|---|---|---|"]
         lines += [f"| {r['iteration']} | {r['n_labeled']} | {r['n_queried']} "
@@ -442,25 +431,20 @@ def _write_history(history, fmt: str, path) -> None:
         lines.append("")
         lines.append(f"Stop reason: {history.stop_reason.value}")
         text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def _cmd_report(args) -> int:
+    _, _, output, fmt = _resolve(args)
     rows = load_rows(args.input)
-    fmt = args.format or "md"
-    output = args.output
-    if output is None:
-        raise ConfigError("report needs --output")
     emit_report(rows, fmt, output)
     _info(args, f"re-rendered {len(rows)} rows to {output}")
     return 0
 
 
 def _info(args, message: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(message, file=sys.stderr)
 
 
@@ -468,23 +452,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="flowal", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--config", help="path to a flat key=value config file")
-        p.add_argument("--seed", type=int,
-                       help="override the config seeds with a single seed")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--format", choices=("csv", "json", "md"),
-                       help="report format")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress progress messages")
-
-    common(sub.add_parser("run", help="pool-based benchmark experiment"))
-    common(sub.add_parser("stream", help="stream-based selective sampling"))
-    common(sub.add_parser("generate", help="write a synthetic flow CSV"))
+    run = sub.add_parser("run", help="pool-based benchmark experiment")
+    stream = sub.add_parser("stream", help="stream-based selective sampling")
+    generate = sub.add_parser("generate", help="write a synthetic flow CSV")
     report = sub.add_parser("report", help="re-render saved json rows")
     report.add_argument("input", help="json report produced by 'run --format json'")
-    common(report)
+    for p in (run, stream, generate):
+        p.add_argument("--config", help="path to a flat key=value config file")
+    for p in (run, stream):
+        p.add_argument("--seed", type=int,
+                       help="replace the config seeds (and synthetic.seed) "
+                            "with a single seed")
+        p.add_argument("--output", help="output file path (config 'output')")
+        p.add_argument("--format", help="csv, json or md (config 'format')")
+    generate.add_argument("--seed", type=int, dest="synthetic_seed",
+                          help="replace synthetic.seed")
+    generate.add_argument("--output", help="output file path (config 'output')")
+    report.add_argument("--output", required=True, help="output file path")
+    report.add_argument("--format", default="md", help="csv, json or md (default md)")
+    for p in (run, stream, generate, report):
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress progress messages")
     return parser
 
 

@@ -90,6 +90,49 @@ class TestUsageErrors:
         assert "config error: seeds must be non-empty" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "g.conf", "--output", "o.csv", "--format", "md"],
+        ["report", "rows.json", "--output", "o.md", "--config", "x"],
+        ["report", "rows.json", "--output", "o.md", "--seed", "9"],
+    ])
+    def test_flag_the_command_does_not_read_exits_1(self, capsys, argv):
+        assert cli_main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, where", [
+        ("run", "flag"), ("run", "config"), ("stream", "flag"),
+        ("stream", "config"), ("report", "flag")])
+    def test_unknown_format_exits_1(self, tmp_path, capsys, command, where):
+        text = SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 0")
+        argv = [command, "--output", str(tmp_path / "r.out"), "--quiet"]
+        if where == "flag":
+            argv += ["--format", "xml"]
+        else:
+            text += "format = xml\n"
+        if command == "report":
+            argv.insert(1, str(tmp_path / "rows.json"))
+        else:
+            argv += ["--config", write_config(tmp_path, text)]
+        assert cli_main(argv) == 1
+        assert "config error: unknown report format 'xml'" in \
+            capsys.readouterr().err
+
+    def test_drift_shift_without_onset_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG + "synthetic.drift_shift = 2.0\n")
+        assert cli_main(["generate", "--config", cfg,
+                         "--output", str(tmp_path / "d.csv"), "--quiet"]) == 1
+        assert "synthetic.drift_onset" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_report_on_non_json_exits_1(self, tmp_path, capsys):
+        rows = tmp_path / "rows.json"
+        rows.write_text("strategy,fraction\nentropy,0.1\n", encoding="utf-8")
+        assert cli_main(["report", str(rows), "--output",
+                         str(tmp_path / "t.md"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {rows}: not a json report" in err
+        assert "Traceback" not in err
+
     def test_bad_csv_data_exits_2(self, tmp_path):
         data = tmp_path / "flows.csv"
         data.write_text("a,label\n1,x\nbad,y\n", encoding="utf-8")
@@ -202,6 +245,27 @@ stream.retrain_every = 10
         assert len(records) >= 1
         assert records[0]["n_queried"] == "0"
         assert "stop_reason" in records[0]
+
+    @pytest.mark.parametrize("seeds, output, message", [
+        ("seeds = 0,1", "h.csv", "stream takes exactly one seed, got seeds = 0,1"),
+        ("seeds = 0\nformat = xml", "h.csv", "unknown report format 'xml'"),
+        ("seeds = 0", None, "stream needs an output path"),
+    ])
+    def test_stream_settings_checked_before_the_loop(self, tmp_path, capsys,
+                                                     monkeypatch, seeds,
+                                                     output, message):
+        def spy(*args, **kwargs):
+            raise AssertionError("run_stream_loop called")
+
+        monkeypatch.setattr(flowal.cli, "run_stream_loop", spy)
+        cfg = write_config(tmp_path, SYNTH_CONFIG.replace("seeds = 0,1", seeds))
+        argv = ["stream", "--config", cfg, "--quiet"]
+        if output:
+            argv += ["--output", str(tmp_path / output)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
 
     def test_stream_keeps_dataset_order(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, """
