@@ -46,7 +46,7 @@ from .engine import (
     oracle_label,
     run_pool_loop,
 )
-from .errors import ConfigError, EmptyReport, InvalidPool
+from .errors import ConfigError, EmptyReport
 from .forest import ForestParams, evaluate_accuracy, fit_forest
 from .metrics import TimingRecord, tar, ttr
 from .rng import derive_seed, make_rng
@@ -165,15 +165,23 @@ def run_experiment(config: ExperimentConfig,
     rows: List[ExperimentRow] = []
     # trained on first use; LalParams is frozen, so equal params share one
     lal: Dict[LalParams, Tuple[LalRegressor, float]] = {}
+    # the train pool's size does not depend on the seed, so every budget is
+    # checked once, before the first fit
+    pool_size = len(holdout_split(n, config.test_fraction, config.seeds[0])[1])
+    budgets = [subset_size(fraction, n) for fraction in config.fractions]
+    for fraction, budget in zip(config.fractions, budgets):
+        if budget < 1:
+            raise ConfigError(f"fraction {fraction} yields an empty label budget")
+        if budget > pool_size:
+            raise ConfigError(f"budget {budget} exceeds the train pool "
+                              f"({pool_size} records)")
     for seed in config.seeds:
-        try:
-            test_idx, pool_idx = holdout_split(n, config.test_fraction, seed)
-        except InvalidPool as exc:
-            raise ConfigError(str(exc)) from None
+        test_idx, pool_idx = holdout_split(n, config.test_fraction, seed)
         oracle = Oracle(dataset, noise_rate=config.oracle_noise, seed=seed)
 
-        t0 = clock()
+        # labeling is not training: the clock starts after the oracle answers
         full_labels = [oracle_label(oracle, int(i)) for i in pool_idx]
+        t0 = clock()
         full_model = fit_forest(
             Dataset(dataset.schema, dataset.features[pool_idx], full_labels),
             config.learner, derive_seed(seed, 14))
@@ -191,15 +199,7 @@ def run_experiment(config: ExperimentConfig,
             # cell seeds derive from content, not list position, so cells are
             # identical however the config orders them or the runner schedules them
             name_tag = zlib.crc32(strategy.display_name.encode("utf-8"))
-            for fraction in config.fractions:
-                budget = subset_size(fraction, n)
-                if budget < 1:
-                    raise ConfigError(
-                        f"fraction {fraction} yields an empty label budget")
-                if budget > len(pool_idx):
-                    raise ConfigError(
-                        f"budget {budget} exceeds the train pool "
-                        f"({len(pool_idx)} records)")
+            for fraction, budget in zip(config.fractions, budgets):
                 n_seed_set = config.seed_size or max(n_classes, config.batch)
                 n_seed_set = min(budget, n_seed_set)
                 # the seed set depends only on (seed, budget): paired across strategies

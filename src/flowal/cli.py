@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .bench import (
@@ -49,13 +50,7 @@ from .engine import (
     StreamConfig,
     run_stream_loop,
 )
-from .errors import (
-    BenchError,
-    ConfigError,
-    DatasetError,
-    FlowalError,
-    InvalidParams,
-)
+from .errors import ConfigError, FlowalError, InvalidParams
 from .forest import ForestParams
 from .strategies import LalParams, StrategyConfig
 
@@ -292,20 +287,14 @@ def _strategies(cfg: _Config) -> List[StrategyConfig]:
         )
     except (ValueError, InvalidParams) as exc:
         raise ConfigError(f"lal: {exc}") from exc
-    out = []
-    for kind in kinds:
-        try:
-            out.append(StrategyConfig(
-                kind=kind,
-                beta=cfg.get("density.beta"),
-                base_informativeness=cfg.get("density.base"),
-                committee_size=cfg.get("qbc.committee_size"),
-                lal_params=lal,
-                seed=cfg.get("strategy.seed"),
-            ))
-        except FlowalError as exc:
-            raise ConfigError(f"strategy {kind!r}: {exc}") from exc
-    return out
+    return [StrategyConfig(
+        kind=kind,
+        beta=cfg.get("density.beta"),
+        base_informativeness=cfg.get("density.base"),
+        committee_size=cfg.get("qbc.committee_size"),
+        lal_params=lal,
+        seed=cfg.get("strategy.seed"),
+    ) for kind in kinds]
 
 
 def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
@@ -321,11 +310,8 @@ def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
         stab = Stabilization(window=window, epsilon=eps)
     if acc is None and mq is None and tb is None and stab is None:
         return None
-    try:
-        return StoppingCriteria(accuracy_threshold=acc, max_queries=mq,
-                                time_budget=tb, stabilization=stab)
-    except FlowalError as exc:
-        raise ConfigError(f"stop: {exc}") from exc
+    return StoppingCriteria(accuracy_threshold=acc, max_queries=mq,
+                            time_budget=tb, stabilization=stab)
 
 
 def _experiment_config(cfg: _Config, seeds: List[int],
@@ -373,21 +359,24 @@ def _cmd_stream(args) -> int:
         raise ConfigError(f"stream takes exactly one seed, got seeds = "
                           f"{','.join(map(str, seeds))}")
     seed = seeds[0]
-    learner, stop = _learner(cfg), _stopping(cfg)
-    dataset = load_source(_source(cfg, args.seed))
-    test_idx, rest = holdout_split(len(dataset), cfg.get("test_fraction"), seed)
-    # the stream keeps dataset order, so a drift onset stays a stream position
-    test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
+    learner, stop, source = _learner(cfg), _stopping(cfg), _source(cfg, args.seed)
     budget = cfg.get("stream.budget")
-    if budget is None:
-        budget = subset_size(0.15, len(stream))
+    # checked before the load; the default budget, 15% of the stream, is
+    # filled in once the stream's length is known
     stream_cfg = StreamConfig(
         measure=cfg.get("stream.measure"),
         threshold=cfg.get("stream.threshold"),
-        max_label_budget=budget,
+        max_label_budget=0 if budget is None else budget,
         seed_fraction=cfg.get("stream.seed_fraction"),
         retrain_every=cfg.get("stream.retrain_every"),
     )
+    dataset = load_source(source)
+    test_idx, rest = holdout_split(len(dataset), cfg.get("test_fraction"), seed)
+    # the stream keeps dataset order, so a drift onset stays a stream position
+    test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
+    if budget is None:
+        budget = subset_size(0.15, len(stream))
+        stream_cfg = replace(stream_cfg, max_label_budget=budget)
     stop = stop or StoppingCriteria(max_queries=budget)
     oracle = Oracle(dataset=stream, noise_rate=cfg.get("oracle_noise"), seed=seed)
     history = run_stream_loop(stream, test, stream_cfg, learner, oracle,
@@ -492,13 +481,10 @@ def cli_main(argv: Sequence[str]) -> int:
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ConfigError, BenchError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DatasetError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (FlowalError, OSError) as exc:
+    except FlowalError as exc:  # the error's class decides its exit code
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,18 +1,58 @@
 """Exception types raised across the library.
 
-Every failure mode has a named class so callers can catch precisely;
-the CLI maps these onto exit codes.
+Every failure mode has a named class so callers can catch precisely.  The
+classes are grouped by the CLI exit code they map to, and each group's base
+class carries that code, so this module alone decides it:
+
+- ``ConfigError`` (exit 1): a setting or parameter value is rejected;
+- ``DatasetError`` (exit 2): a dataset cannot be read or built;
+- any other ``FlowalError`` (exit 3): a runtime failure.
 """
 
 
 class FlowalError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; exit 3 unless a group overrides it."""
+
+    exit_code = 3
+    label = "error"
 
 
-# --- dataset ---------------------------------------------------------------
+# --- exit 1: a setting or parameter value is rejected ----------------------
+
+class ConfigError(FlowalError):
+    exit_code = 1
+    label = "config error"
+
+
+class InvalidParams(ConfigError):
+    pass
+
+
+class InvalidSpec(ConfigError):
+    pass
+
+
+class InvalidThreshold(ConfigError):
+    pass
+
+
+class NoStoppingCriterion(ConfigError):
+    pass
+
+
+class InvalidPool(ConfigError):
+    pass
+
+
+class EmptyReport(ConfigError):
+    pass
+
+
+# --- exit 2: a dataset cannot be read or built -----------------------------
 
 class DatasetError(FlowalError):
-    """Base class for ingestion / dataset construction errors."""
+    exit_code = 2
+    label = "data error"
 
 
 class MissingColumn(DatasetError):
@@ -42,10 +82,6 @@ class DimensionMismatch(DatasetError):
     pass
 
 
-class InvalidSpec(DatasetError):
-    pass
-
-
 class InvalidSchema(DatasetError):
     pass
 
@@ -54,107 +90,55 @@ class SchemaMismatch(DatasetError):
     pass
 
 
-# --- learners --------------------------------------------------------------
+# --- exit 3: runtime failures ----------------------------------------------
 
-class LearnerError(FlowalError):
+class EmptyTrainingSet(FlowalError):
     pass
 
 
-class EmptyTrainingSet(LearnerError):
+class InvalidCommitteeSize(FlowalError):
     pass
 
 
-class InvalidCommitteeSize(LearnerError):
+class EmptyTestSet(FlowalError):
     pass
 
 
-class EmptyTestSet(LearnerError):
+class InvalidDistribution(FlowalError):
     pass
 
 
-# --- strategies ------------------------------------------------------------
-
-class StrategyError(FlowalError):
+class EmptyCommittee(FlowalError):
     pass
 
 
-class InvalidDistribution(StrategyError):
+class LengthMismatch(FlowalError):
     pass
 
 
-class EmptyCommittee(StrategyError):
+class EmptyPool(FlowalError):
     pass
 
 
-class LengthMismatch(StrategyError):
+class BatchTooLarge(FlowalError):
     pass
 
 
-class EmptyPool(StrategyError):
+class UntrainedRegressor(FlowalError):
     pass
 
 
-class BatchTooLarge(StrategyError):
+class IndexOutOfRange(FlowalError):
     pass
 
 
-class InvalidParams(StrategyError):
+class EmptyStream(FlowalError):
     pass
 
 
-class UntrainedRegressor(StrategyError):
+class ZeroDenominator(FlowalError):
     pass
 
 
-# --- engine ----------------------------------------------------------------
-
-class EngineError(FlowalError):
-    pass
-
-
-class IndexOutOfRange(EngineError):
-    pass
-
-
-class InvalidPool(EngineError):
-    pass
-
-
-class NoStoppingCriterion(EngineError):
-    pass
-
-
-class EmptyStream(EngineError):
-    pass
-
-
-class InvalidThreshold(EngineError):
-    pass
-
-
-# --- metrics ---------------------------------------------------------------
-
-class MetricsError(FlowalError):
-    pass
-
-
-class ZeroDenominator(MetricsError):
-    pass
-
-
-class ClassOutOfRange(MetricsError):
-    pass
-
-
-# --- bench / cli -----------------------------------------------------------
-
-class BenchError(FlowalError):
-    pass
-
-
-class ConfigError(BenchError):
-    pass
-
-
-class EmptyReport(BenchError):
+class ClassOutOfRange(FlowalError):
     pass

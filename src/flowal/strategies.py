@@ -268,13 +268,8 @@ def _lal_state_matrix(model: ForestModel, labeled_size: int,
     return states
 
 
-def train_lal_regressor(params: LalParams, *,
-                        target_override: Optional[float] = None) -> LalRegressor:
-    """Run the Monte-Carlo simulation and fit the error-reduction regressor.
-
-    ``target_override`` replaces every recorded error reduction with a
-    constant; it exists so tests can pin the regression target exactly.
-    """
+def train_lal_regressor(params: LalParams) -> LalRegressor:
+    """Run the Monte-Carlo simulation and fit the error-reduction regressor."""
     rng = make_rng(params.seed, 4)
     inner = ForestParams(n_trees=12)
     states: List[np.ndarray] = []
@@ -314,8 +309,6 @@ def train_lal_regressor(params: LalParams, *,
             targets.append(reduction)
     S = np.vstack(states)
     t = np.asarray(targets)
-    if target_override is not None:
-        t = np.full_like(t, float(target_override))
     forest = fit_regression_forest(S, t, params.regressor,
                                    derive_seed(params.seed, 5))
     return LalRegressor(forest, S, t)

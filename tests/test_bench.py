@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from flowal import (
     ExperimentRow,
     ForestParams,
     LalParams,
+    StoppingCriteria,
     StrategyConfig,
     SyntheticSpec,
     emit_report,
@@ -116,6 +118,56 @@ class TestRunExperiment:
     def test_budget_larger_than_pool_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(fractions=(0.9,), seeds=(0,)))
+
+    @pytest.mark.parametrize("fractions, message", [
+        ((0.0005, 0.1), "fraction 0.0005 yields an empty label budget"),
+        ((0.05, 0.1, 0.9), r"budget 540 exceeds the train pool \(420 records\)"),
+    ])
+    def test_budgets_checked_before_the_first_fit(self, monkeypatch,
+                                                  fractions, message):
+        def spy(*args, **kwargs):
+            raise AssertionError("a fit or a pool loop ran")
+
+        monkeypatch.setattr(flowal.bench, "fit_forest", spy)
+        monkeypatch.setattr(flowal.bench, "run_pool_loop", spy)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(small_config(fractions=fractions))
+
+    def test_full_train_time_excludes_labeling(self, monkeypatch):
+        clock = FakeClock()
+        real = flowal.bench.oracle_label
+
+        def slow_oracle(oracle, index):
+            clock.now += 1000.0  # each answer takes time on the run's clock
+            return real(oracle, index)
+
+        monkeypatch.setattr(flowal.bench, "oracle_label", slow_oracle)
+        rows = run_experiment(small_config(seeds=(0,), fractions=(0.05,)),
+                              clock=clock)
+        # the baseline's two clock reads bracket the fit alone
+        assert [r.full_train_time_s for r in rows] == [1.0] * len(rows)
+
+    @pytest.mark.parametrize("extra, max_queries", [
+        (StoppingCriteria(accuracy_threshold=0.99, max_queries=25), [10, 25]),
+        (StoppingCriteria(time_budget=1e9), [10, 40]),
+    ])
+    def test_extra_stop_criteria_merge_with_the_budget(self, monkeypatch,
+                                                       extra, max_queries):
+        # budgets 30 and 60 less a 20-record seed set leave 10 and 40 queries
+        seen = []
+        real = flowal.bench.run_pool_loop
+
+        def capture(pool, strategy, learner, oracle, batch, stop, *args,
+                    **kwargs):
+            seen.append(stop)
+            return real(pool, strategy, learner, oracle, batch, stop, *args,
+                        **kwargs)
+
+        monkeypatch.setattr(flowal.bench, "run_pool_loop", capture)
+        run_experiment(small_config(
+            seeds=(0,), fractions=(0.05, 0.1), stop=extra,
+            strategies=(StrategyConfig(kind="random"),)))
+        assert seen == [replace(extra, max_queries=mq) for mq in max_queries]
 
 
 def tiny_lal(seed=0):

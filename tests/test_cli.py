@@ -1,13 +1,20 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 import flowal.cli
-from flowal import DriftSpec, SyntheticSpec, generate_synthetic
+from flowal import (
+    DriftSpec,
+    ForestParams,
+    SyntheticSpec,
+    generate_synthetic,
+    subset_size,
+)
 from flowal.cli import cli_main, parse_config_text
-from flowal.errors import ConfigError
+from flowal.errors import ConfigError, EmptyPool, InvalidPool, MissingColumn
 
 SYNTH_CONFIG = """
 # three-class synthetic source
@@ -30,6 +37,21 @@ def write_config(tmp_path, text, name="bench.conf"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def with_settings(text, settings):
+    """``text`` with each ``key = value`` line of ``settings`` set in it."""
+    for line in settings.splitlines():
+        key = line.split("=")[0].strip()
+        text = re.sub(rf"(?m)^{re.escape(key)} =.*\n", "", text) + line + "\n"
+    return text
+
+
+SYNTHETIC_SETTINGS = ["synthetic.noise = -1", "synthetic.classes = 1",
+                      "synthetic.drift_onset = 10\nsynthetic.drift_shift = 1,2"]
+STREAM_SETTINGS = ["stream.measure = bogus", "stream.threshold = -1",
+                   "stream.seed_fraction = 0", "stream.retrain_every = 0",
+                   "stream.budget = -1"]
 
 
 class TestConfigParsing:
@@ -78,6 +100,22 @@ class TestUsageErrors:
                          "--output", str(tmp_path / "r.csv"), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and setting.split(" ")[0].split(".")[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, setting", [
+        *[(command, setting) for setting in SYNTHETIC_SETTINGS
+          for command in ("run", "stream", "generate")],
+        *[("stream", setting) for setting in STREAM_SETTINGS],
+        ("stream", "oracle_noise = 2"),
+        ("stream", "test_fraction = 0.001"),
+    ])
+    def test_bad_setting_exits_1(self, tmp_path, capsys, command, setting):
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG,
+                                                   "seeds = 0\n" + setting))
+        assert cli_main([command, "--config", cfg, "--quiet",
+                         "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "stream"])
@@ -132,6 +170,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"config error: {rows}: not a json report" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("error, code, message", [
+        (InvalidPool("x"), 1, "config error: x"),
+        (MissingColumn("x"), 2, "data error: x"),
+        (EmptyPool("x"), 3, "error: x"),
+        (OSError("x"), 3, "error: x"),
+    ])
+    def test_error_class_decides_exit_code(self, tmp_path, capsys, monkeypatch,
+                                           error, code, message):
+        def fail(path):
+            raise error
+
+        monkeypatch.setattr(flowal.cli, "load_rows", fail)
+        assert cli_main(["report", "rows.json", "--quiet",
+                         "--output", str(tmp_path / "t.md")]) == code
+        assert capsys.readouterr().err == message + "\n"
 
     def test_bad_csv_data_exits_2(self, tmp_path):
         data = tmp_path / "flows.csv"
@@ -266,6 +320,64 @@ stream.retrain_every = 10
         err = capsys.readouterr().err
         assert f"config error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", STREAM_SETTINGS)
+    def test_stream_settings_checked_before_the_load(self, tmp_path, capsys,
+                                                     monkeypatch, setting):
+        def spy(*args, **kwargs):
+            raise AssertionError("load_source called")
+
+        monkeypatch.setattr(flowal.cli, "load_source", spy)
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG,
+                                                   "seeds = 0\n" + setting))
+        assert cli_main(["stream", "--config", cfg, "--quiet",
+                         "--output", str(tmp_path / "h.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_stream_defaults_reach_the_loop(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, with_settings(
+            SYNTH_CONFIG, "seeds = 0\nlearner.bootstrap = false"))
+        run_stream_loop = flowal.cli.run_stream_loop
+        seen = {}
+
+        def capture(stream, test, config, learner, oracle, stop, seed):
+            seen.update(n=len(stream), config=config, learner=learner,
+                        stop=stop)
+            return run_stream_loop(stream, test, config, learner, oracle,
+                                   stop, seed)
+
+        monkeypatch.setattr(flowal.cli, "run_stream_loop", capture)
+        assert cli_main(["stream", "--config", cfg, "--quiet",
+                         "--output", str(tmp_path / "h.csv")]) == 0
+        budget = subset_size(0.15, seen["n"])
+        assert seen["config"].max_label_budget == budget == 38
+        assert seen["stop"].max_queries == budget
+        assert seen["learner"] == ForestParams(n_trees=6, bootstrap=False)
+
+    def test_stream_formats_hold_the_same_history(self, tmp_path):
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG, """seeds = 0
+stream.measure = margin
+stream.threshold = 0.4
+stream.budget = 30
+stream.seed_fraction = 0.05"""))
+        for fmt in ("csv", "json", "md"):
+            assert cli_main(["stream", "--config", cfg, "--format", fmt,
+                             "--output", str(tmp_path / f"h.{fmt}"),
+                             "--quiet"]) == 0
+        with open(tmp_path / "h.csv", newline="", encoding="utf-8") as fh:
+            records = list(csv.DictReader(fh))
+        payload = json.loads((tmp_path / "h.json").read_text(encoding="utf-8"))
+        md = (tmp_path / "h.md").read_text(encoding="utf-8").splitlines()
+        table = [line.strip("| ").split(" | ") for line in md[2:-2]]
+        assert len(records) > 1
+        assert [r["n_labeled"] for r in records] \
+            == [str(it["n_labeled"]) for it in payload["iterations"]] \
+            == [row[1] for row in table]
+        assert [r["n_queried"] for r in records] \
+            == [str(it["n_queried"]) for it in payload["iterations"]] \
+            == [row[2] for row in table]
+        assert payload["stop_reason"] == records[0]["stop_reason"]
+        assert md[-1] == f"Stop reason: {payload['stop_reason']}"
 
     def test_stream_keeps_dataset_order(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, """

@@ -35,7 +35,8 @@ from flowal.errors import (
     InvalidThreshold,
     NoStoppingCriterion,
 )
-from flowal.rng import make_rng
+from flowal.rng import derive_seed, make_rng
+from flowal.strategies import uncertainty_scores
 
 
 class FakeClock:
@@ -334,6 +335,27 @@ class TestStreamLoop:
         assert history.total_queries() == 0
         assert len(history.iterations) == 1
         assert history.stop_reason == StopReason.EXHAUSTED
+
+    def test_margin_queries_at_or_below_the_threshold(self):
+        # with no refit before the end every decision uses the seed model, so
+        # the queried rows are exactly those it scores at or below threshold
+        stream, test = stream_pair(6)
+        cfg = StreamConfig(measure="margin", threshold=0.5,
+                           max_label_budget=len(stream), seed_fraction=0.05,
+                           retrain_every=len(stream))
+        learner = ForestParams(n_trees=8)
+        history = run_stream_loop(stream, test, cfg, learner,
+                                  Oracle(stream, 0.0, 6),
+                                  StoppingCriteria(max_queries=10 ** 9), 6)
+        n_seed = subset_size(0.05, len(stream))
+        seed_model = fit_forest(stream.subset(np.arange(n_seed)), learner,
+                                derive_seed(6, 13, 0))
+        rest = np.arange(n_seed, len(stream))
+        margins = uncertainty_scores(
+            "margin", seed_model.predict_proba_many(stream.features[rest]))
+        expected = tuple(int(i) for i in rest[margins <= 0.5])
+        assert 0 < len(expected) < len(rest)
+        assert [it.queried for it in history.iterations] == [(), expected]
 
     def test_retrain_cadence(self):
         stream, test = stream_pair(3)

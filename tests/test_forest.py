@@ -147,6 +147,18 @@ class TestFitForest:
         np.testing.assert_array_equal(a.predict_proba_many(probe),
                                       b.predict_proba_many(probe))
 
+    def test_without_bootstrap_every_tree_grows_on_every_row(self):
+        # with every feature at every split no draw is left, so the trees
+        # are identical and each one fits its training rows exactly
+        ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=30,
+                                              n_features=4, seed=2))
+        params = ForestParams(n_trees=5, features_per_split=4, bootstrap=False)
+        model = fit_forest(ds, params, 7)
+        probe = np.random.default_rng(0).normal(scale=6.0, size=(25, 4))
+        votes = model.vote_counts(np.vstack([ds.features, probe]))
+        assert (votes.max(axis=1) == 5).all()
+        assert evaluate_accuracy(model, ds) == 1.0
+
     def test_separable_blobs_beat_95_percent(self):
         # feasibility oracle first: nearest centroid must reach 0.99 here
         spec = SyntheticSpec(n_classes=2, per_class=300, n_features=6,

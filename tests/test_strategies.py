@@ -13,6 +13,7 @@ from flowal import (
     FeatureSchema,
     ForestParams,
     LalParams,
+    LalRegressor,
     PoolState,
     StrategyConfig,
     SyntheticSpec,
@@ -42,7 +43,7 @@ from flowal.errors import (
     LengthMismatch,
     UntrainedRegressor,
 )
-from flowal.forest import _Tree
+from flowal.forest import _Tree, fit_regression_forest
 from flowal.strategies import _lal_state_matrix, uncertainty_scores
 from tests.test_forest import constant_tree, hand_model
 
@@ -318,6 +319,14 @@ class TestInformationDensity:
         assert peak < 8_000_000
 
 
+def constant_lal_regressor(params, target):
+    """A regressor fit on ``params``' simulated states, every target ``target``."""
+    states = train_lal_regressor(params).states
+    targets = np.full(len(states), target)
+    forest = fit_regression_forest(states, targets, params.regressor, 0)
+    return LalRegressor(forest, states, targets)
+
+
 class TestLal:
     def test_minimal_run_shapes(self):
         reg = train_lal_regressor(LalParams(mc_rounds=1, seed=0,
@@ -327,9 +336,9 @@ class TestLal:
         assert reg.targets.shape == (reg.states.shape[0],)
 
     def test_constant_target_hook(self):
-        reg = train_lal_regressor(
+        reg = constant_lal_regressor(
             LalParams(mc_rounds=2, seed=1, regressor=ForestParams(n_trees=10)),
-            target_override=0.125)
+            0.125)
         probe = np.random.default_rng(0).normal(size=(20, 8))
         np.testing.assert_allclose(reg.predict_many(probe), 0.125, atol=1e-6)
 
@@ -553,7 +562,7 @@ class TestSelectBatch:
         model = fit_forest(pool.dataset.subset(pool.labeled),
                            ForestParams(n_trees=5), 1)
         params = LalParams(mc_rounds=1, seed=2, regressor=ForestParams(n_trees=6))
-        reg = train_lal_regressor(params, target_override=0.5)
+        reg = constant_lal_regressor(params, 0.5)
         out = select_batch(StrategyConfig(kind="lal", lal_params=params),
                            model, pool, 5, lal_regressor=reg)
         assert out == sorted(pool.unlabeled)[:5]
