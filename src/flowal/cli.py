@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -50,7 +51,14 @@ from .engine import (
     StreamConfig,
     run_stream_loop,
 )
-from .errors import ConfigError, FlowalError, InvalidParams
+from .errors import (
+    ConfigError,
+    FlowalError,
+    InvalidParams,
+    InvalidSpec,
+    InvalidThreshold,
+    NoStoppingCriterion,
+)
 from .forest import ForestParams
 from .strategies import LalParams, StrategyConfig
 
@@ -220,6 +228,19 @@ def _resolve(args):
     return cfg, seeds, output, fmt
 
 
+@contextmanager
+def _naming(section: str, errors):
+    """Re-raise ``errors`` as a ConfigError whose message names ``section``.
+
+    ``errors`` are the library's own rejections; a value that does not
+    parse is a plain ConfigError that already names its key and passes.
+    """
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _synthetic_spec(cfg: _Config, seed_override: Optional[int]) -> SyntheticSpec:
     for key in ("synthetic.classes", "synthetic.per_class", "synthetic.features"):
         if not cfg.has(key):
@@ -234,15 +255,16 @@ def _synthetic_spec(cfg: _Config, seed_override: Optional[int]) -> SyntheticSpec
         drift = DriftSpec(onset_index=onset,
                           mean_shift=shift[0] if len(shift) == 1 else shift)
     seed = seed_override if seed_override is not None else cfg.get("synthetic.seed")
-    return SyntheticSpec(
-        n_classes=cfg.get("synthetic.classes"),
-        per_class=cfg.get("synthetic.per_class"),
-        n_features=cfg.get("synthetic.features"),
-        class_mean_separation=cfg.get("synthetic.separation"),
-        noise_stddev=cfg.get("synthetic.noise"),
-        drift=drift,
-        seed=seed,
-    )
+    with _naming("synthetic", InvalidSpec):
+        return SyntheticSpec(
+            n_classes=cfg.get("synthetic.classes"),
+            per_class=cfg.get("synthetic.per_class"),
+            n_features=cfg.get("synthetic.features"),
+            class_mean_separation=cfg.get("synthetic.separation"),
+            noise_stddev=cfg.get("synthetic.noise"),
+            drift=drift,
+            seed=seed,
+        )
 
 
 def _source(cfg: _Config, seed_override: Optional[int]):
@@ -263,7 +285,7 @@ def _source(cfg: _Config, seed_override: Optional[int]):
 
 
 def _learner(cfg: _Config) -> ForestParams:
-    try:
+    with _naming("learner", ValueError):
         return ForestParams(
             n_trees=cfg.get("learner.trees"),
             max_depth=cfg.get("learner.max_depth"),
@@ -271,30 +293,32 @@ def _learner(cfg: _Config) -> ForestParams:
             features_per_split=cfg.get("learner.features_per_split"),
             bootstrap=cfg.get("learner.bootstrap"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
 
 
 def _strategies(cfg: _Config) -> List[StrategyConfig]:
     kinds = cfg.get("strategies")
     if not kinds:
         raise ConfigError("strategies must name at least one strategy")
-    try:
+    with _naming("lal", (ValueError, InvalidParams)):
         lal = LalParams(
             mc_rounds=cfg.get("lal.mc_rounds"),
             regressor=ForestParams(n_trees=cfg.get("lal.trees")),
             seed=cfg.get("lal.seed"),
         )
-    except (ValueError, InvalidParams) as exc:
-        raise ConfigError(f"lal: {exc}") from exc
-    return [StrategyConfig(
-        kind=kind,
-        beta=cfg.get("density.beta"),
-        base_informativeness=cfg.get("density.base"),
-        committee_size=cfg.get("qbc.committee_size"),
-        lal_params=lal,
-        seed=cfg.get("strategy.seed"),
-    ) for kind in kinds]
+    configs = []
+    for kind in kinds:
+        # each step sets one section's values on a config the steps before
+        # accepted, so a rejection is that section's
+        with _naming("strategies", InvalidParams):
+            config = StrategyConfig(kind=kind, lal_params=lal,
+                                    seed=cfg.get("strategy.seed"))
+        with _naming("density", InvalidParams):
+            config = replace(config, beta=cfg.get("density.beta"),
+                             base_informativeness=cfg.get("density.base"))
+        with _naming("qbc", InvalidParams):
+            configs.append(replace(
+                config, committee_size=cfg.get("qbc.committee_size")))
+    return configs
 
 
 def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
@@ -310,8 +334,9 @@ def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
         stab = Stabilization(window=window, epsilon=eps)
     if acc is None and mq is None and tb is None and stab is None:
         return None
-    return StoppingCriteria(accuracy_threshold=acc, max_queries=mq,
-                            time_budget=tb, stabilization=stab)
+    with _naming("stop", NoStoppingCriterion):
+        return StoppingCriteria(accuracy_threshold=acc, max_queries=mq,
+                                time_budget=tb, stabilization=stab)
 
 
 def _experiment_config(cfg: _Config, seeds: List[int],
@@ -363,13 +388,14 @@ def _cmd_stream(args) -> int:
     budget = cfg.get("stream.budget")
     # checked before the load; the default budget, 15% of the stream, is
     # filled in once the stream's length is known
-    stream_cfg = StreamConfig(
-        measure=cfg.get("stream.measure"),
-        threshold=cfg.get("stream.threshold"),
-        max_label_budget=0 if budget is None else budget,
-        seed_fraction=cfg.get("stream.seed_fraction"),
-        retrain_every=cfg.get("stream.retrain_every"),
-    )
+    with _naming("stream", InvalidThreshold):
+        stream_cfg = StreamConfig(
+            measure=cfg.get("stream.measure"),
+            threshold=cfg.get("stream.threshold"),
+            max_label_budget=0 if budget is None else budget,
+            seed_fraction=cfg.get("stream.seed_fraction"),
+            retrain_every=cfg.get("stream.retrain_every"),
+        )
     dataset = load_source(source)
     test_idx, rest = holdout_split(len(dataset), cfg.get("test_fraction"), seed)
     # the stream keeps dataset order, so a drift onset stays a stream position
@@ -378,7 +404,9 @@ def _cmd_stream(args) -> int:
         budget = subset_size(0.15, len(stream))
         stream_cfg = replace(stream_cfg, max_label_budget=budget)
     stop = stop or StoppingCriteria(max_queries=budget)
-    oracle = Oracle(dataset=stream, noise_rate=cfg.get("oracle_noise"), seed=seed)
+    with _naming("oracle_noise", InvalidThreshold):
+        oracle = Oracle(dataset=stream, noise_rate=cfg.get("oracle_noise"),
+                        seed=seed)
     history = run_stream_loop(stream, test, stream_cfg, learner, oracle,
                               stop, seed)
     _write_history(history, fmt, output)

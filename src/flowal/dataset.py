@@ -300,10 +300,10 @@ def holdout_split(n: int, test_fraction: float, seed: int):
     n_test = subset_size(test_fraction, n)
     if n_test < 1:
         raise InvalidPool(
-            f"test fraction {test_fraction} of {n} records leaves no test set")
+            f"test_fraction {test_fraction} of {n} records leaves no test set")
     if n_test >= n:
         raise InvalidPool(
-            f"test fraction {test_fraction} of {n} records leaves no train pool")
+            f"test_fraction {test_fraction} of {n} records leaves no train pool")
     return perm[:n_test], perm[n_test:]
 
 

@@ -99,7 +99,10 @@ class _Tree:
     """Flat-array decision tree; ``value`` holds leaf payloads.
 
     feature[i] >= 0 marks an internal node; leaves have feature[i] == -1.
-    Routing sends x left when x[feature] <= threshold.
+    Routing sends x left iff x[feature] <= threshold, so a NaN goes right.
+    Rows are routed node by node: each internal node reached splits the
+    indices of its rows with one gather of its feature, so routing m rows
+    costs m times the depth reached plus a constant per node reached.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value", "depth")
@@ -113,17 +116,35 @@ class _Tree:
         self.depth = np.asarray(depth, dtype=np.int64)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by every row of X."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature[node]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                return node
-            cur = node[active]
-            xv = X[active, f[active]]
-            node[active] = np.where(xv <= self.threshold[cur],
-                                    self.left[cur], self.right[cur])
+        """Leaf index reached by every row of X.
+
+        Rows are read from the feature-major ``X.T``, a copy unless X is in
+        Fortran order, so a caller routing X through many trees passes
+        ``np.asfortranarray(X)`` to copy it once.
+        """
+        Xt = np.ascontiguousarray(X.T)
+        feature = self.feature.tolist()
+        threshold = self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        leaves = np.empty(Xt.shape[1], dtype=np.int64)
+        # stack entries: (node id, indices of the rows that reach it)
+        stack = [(0, np.arange(Xt.shape[1]))]
+        while stack:
+            node, rows = stack.pop()
+            f = feature[node]
+            if f < 0:
+                leaves[rows] = node
+                continue
+            goes_left = Xt[f].take(rows) <= threshold[node]
+            n_left = np.count_nonzero(goes_left)
+            if n_left == rows.size:
+                stack.append((left[node], rows))
+            elif n_left == 0:
+                stack.append((right[node], rows))
+            else:
+                stack.append((right[node], rows.compress(~goes_left)))
+                stack.append((left[node], rows.compress(goes_left)))
+        return leaves
 
 
 class _Workspace:
@@ -352,8 +373,9 @@ class ForestModel:
         counts = np.zeros((m, self.schema.n_classes), dtype=np.int64)
         total = np.zeros(m) if with_depth else None
         rows = np.arange(m)
+        Xf = np.asfortranarray(X)
         for tree in self.trees:
-            leaves = tree.apply(X)
+            leaves = tree.apply(Xf)
             counts[rows, tree.value[leaves]] += 1
             if with_depth:
                 total += tree.depth[leaves]
@@ -476,8 +498,9 @@ class RegressionForestModel:
                 f"expected {self.n_features} features, got shape {X.shape}"
             )
         total = np.zeros(X.shape[0])
+        Xf = np.asfortranarray(X)
         for tree in self.trees:
-            total += tree.value[tree.apply(X)]
+            total += tree.value[tree.apply(Xf)]
         return total / len(self.trees)
 
     def predict(self, features) -> float:

@@ -108,6 +108,12 @@ class TestUsageErrors:
         *[("stream", setting) for setting in STREAM_SETTINGS],
         ("stream", "oracle_noise = 2"),
         ("stream", "test_fraction = 0.001"),
+        ("run", "test_fraction = 0.001"),
+        ("run", "strategies = entropy,bogus"),
+        ("run", "density.beta = -1"),
+        ("run", "density.base = bogus"),
+        ("run", "qbc.committee_size = 1\nstrategies = qbc_kl"),
+        ("run", "stop.max_queries = -1"),
     ])
     def test_bad_setting_exits_1(self, tmp_path, capsys, command, setting):
         cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG,
@@ -115,7 +121,9 @@ class TestUsageErrors:
         assert cli_main([command, "--config", cfg, "--quiet",
                          "--output", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        # the message names the key, or its section for a dotted key
+        section = setting.split(" ")[0].split(".")[0]
+        assert err.startswith(f"config error: {section}"), err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "stream"])

@@ -24,12 +24,14 @@ from flowal.errors import (
 from flowal.forest import (
     ForestModel,
     ProbabilityDistribution,
+    RegressionForestModel,
     _Tree,
     _Workspace,
     _best_split,
     _gini_of_cuts,
     _midpoint,
     _sse_of_cuts,
+    fit_regression_forest,
 )
 from tests.test_engine import seeded_split
 
@@ -130,6 +132,127 @@ class TestPredict:
             model.predict(np.zeros(3))
         with pytest.raises(DimensionMismatch):
             model.predict_proba(np.zeros((2, 2)))
+
+
+def reference_leaf(tree, x):
+    """Scalar walk: left iff x[feature] <= threshold, so a NaN goes right."""
+    node = 0
+    while tree.feature[node] >= 0:
+        goes_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if goes_left else tree.right[node]
+    return node
+
+
+# thresholds come from here, so rows land exactly on them
+ROUTING_VALUES = [-1.5, -0.5, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def routing_cases(draw):
+    """(trees, X, n_classes, n_features): 1-3 random trees and rows to route.
+
+    Trees are up to 4 levels deep and may be a single leaf.  X has 0-12
+    rows of threshold values, +-inf and NaN, laid out C-contiguous, in
+    Fortran order or as every second row of a larger matrix.
+    """
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    trees = []
+    for _ in range(draw(st.integers(1, 3))):
+        feature, threshold, left, right, depth = [], [], [], [], []
+
+        def grow(level):
+            node = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            depth.append(level)
+            if level < 4 and draw(st.booleans()):
+                feature[node] = draw(st.integers(0, d - 1))
+                threshold[node] = draw(st.sampled_from(ROUTING_VALUES))
+                left[node] = grow(level + 1)
+                right[node] = grow(level + 1)
+            return node
+
+        grow(0)
+        value = [draw(st.integers(0, n_classes - 1)) for _ in feature]
+        trees.append(_Tree(feature, threshold, left, right, value, depth))
+    m = draw(st.integers(0, 12))
+    entries = st.sampled_from(ROUTING_VALUES + [1.0, np.inf, -np.inf, np.nan])
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    rows = 2 * m if layout == "strided" else m
+    X = np.asarray(draw(st.lists(entries, min_size=rows * d,
+                                 max_size=rows * d)), dtype=float)
+    X = X.reshape(rows, d)
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        X = X[::2]
+    return trees, X, n_classes, d
+
+
+class TestRouting:
+    @settings(max_examples=300, deadline=None)
+    @given(routing_cases())
+    def test_matches_scalar_walk(self, case):
+        trees, X, n_classes, d = case
+        leaves = [[reference_leaf(tree, x) for x in X] for tree in trees]
+        for tree, expected in zip(trees, leaves):
+            got = tree.apply(X)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.asarray(expected, dtype=np.int64))
+        schema = FeatureSchema(tuple(f"f{i}" for i in range(d)),
+                               tuple(f"c{i}" for i in range(n_classes)))
+        votes = np.zeros((len(X), n_classes), dtype=np.int64)
+        for tree, expected in zip(trees, leaves):
+            for i, leaf in enumerate(expected):
+                votes[i, tree.value[leaf]] += 1
+        np.testing.assert_array_equal(hand_model(trees, schema).vote_counts(X),
+                                      votes)
+        # regression payloads on the same structures, summed in tree order
+        regression = [_Tree(t.feature, t.threshold, t.left, t.right,
+                            t.value / 3.0, t.depth) for t in trees]
+        model = RegressionForestModel(d, ForestParams(n_trees=len(trees)), 0,
+                                      regression)
+        expected = [sum(t.value[leaf[i]] for t, leaf in zip(regression, leaves))
+                    / len(trees) for i in range(len(X))]
+        np.testing.assert_array_equal(model.predict_many(X),
+                                      np.asarray(expected, dtype=float))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_zero_and_one_row(self, m):
+        rng = np.random.default_rng(4)
+        ds = Dataset(SCHEMA2, rng.normal(size=(60, 2)), rng.integers(0, 2, 60))
+        model = fit_forest(ds, ForestParams(n_trees=5), 2)
+        X = np.array([[np.nan, -np.inf]])[:m]
+        for tree in model.trees:
+            assert tree.feature[0] >= 0
+            np.testing.assert_array_equal(
+                tree.apply(X), [reference_leaf(tree, x) for x in X])
+        counts = model.vote_counts(X)
+        assert counts.shape == (m, 2) and counts.dtype == np.int64
+        assert (counts.sum(axis=1) == 5).all()
+        regressor = fit_regression_forest(ds.features, ds.features[:, 0],
+                                          ForestParams(n_trees=3), 2)
+        assert regressor.predict_many(X).shape == (m,)
+
+    def test_root_leaf_trees(self):
+        rng = np.random.default_rng(5)
+        ds = Dataset(SCHEMA2, rng.normal(size=(40, 2)), rng.integers(0, 2, 40))
+        model = fit_forest(ds, ForestParams(n_trees=4, max_depth=0), 3)
+        X = np.array([[0.0, 1.0], [np.nan, np.inf], [-np.inf, 2.0]])
+        for tree in model.trees:
+            assert tree.feature.tolist() == [-1]
+            np.testing.assert_array_equal(tree.apply(X), [0, 0, 0])
+        votes = sum(np.eye(2, dtype=np.int64)[tree.value[0]]
+                    for tree in model.trees)
+        np.testing.assert_array_equal(model.vote_counts(X), [votes] * 3)
+        targets = rng.normal(size=40)
+        regressor = fit_regression_forest(ds.features, targets,
+                                          ForestParams(n_trees=2, max_depth=0), 3)
+        expected = sum(tree.value[0] for tree in regressor.trees) / 2
+        np.testing.assert_array_equal(regressor.predict_many(X), [expected] * 3)
 
 
 class TestFitForest:
