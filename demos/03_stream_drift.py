@@ -15,7 +15,6 @@ from flowal import (
     DriftSpec,
     ForestParams,
     Oracle,
-    StoppingCriteria,
     StreamConfig,
     SyntheticSpec,
     evaluate_accuracy,
@@ -49,8 +48,8 @@ print(f"frozen model (trained on the first {n_seed} flows, never updated): "
 config = StreamConfig(measure="entropy", threshold=0.3,
                       max_label_budget=subset_size(0.2, n),
                       seed_fraction=0.05, retrain_every=20)
-history = run_stream_loop(stream, test, config, params, oracle,
-                          StoppingCriteria(max_queries=10 ** 9), seed=1)
+# no stopping criteria beyond the label budget, which the loop enforces itself
+history = run_stream_loop(stream, test, config, params, oracle, None, seed=1)
 
 print(f"\nselective sampler ({history.total_queries()} labels bought):")
 print(f"{'labeled':>8s} {'accuracy':>9s}")

@@ -24,7 +24,7 @@ import io
 import json
 import time
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,6 +43,7 @@ from .engine import (
     Oracle,
     PoolState,
     StoppingCriteria,
+    cap_queries,
     oracle_label,
     run_pool_loop,
 )
@@ -65,6 +66,9 @@ REPORT_FORMATS = ("csv", "json", "md")
 REPORT_FIELDS = ("strategy", "fraction", "seed", "time_s", "accuracy", "tar", "ttr")
 RAW_FIELDS = ("full_accuracy", "train_time_s", "select_time_s", "full_train_time_s",
               "lal_train_time_s")
+# the json types a report row's fields may hold, by ExperimentRow annotation
+_FIELD_KINDS = {"str": (str, "a string"), "int": (int, "an integer"),
+                "float": ((int, float), "a number")}
 
 
 @dataclass(frozen=True)
@@ -195,29 +199,23 @@ def run_experiment(config: ExperimentConfig,
                 full_accuracy=full_acc, train_time_s=full_train_time,
                 select_time_s=0.0, full_train_time_s=full_train_time))
 
+        # a cell's seed set, pool and budget depend only on (seed, budget), so
+        # every strategy starts from the same ones
+        cells = []
+        for fraction, budget in zip(config.fractions, budgets):
+            n_seed_set = min(budget,
+                             config.seed_size or max(n_classes, config.batch))
+            picks = make_rng(seed, 11, budget).choice(
+                len(pool_idx), size=n_seed_set, replace=False)
+            pool = PoolState(dataset, tuple(pool_idx[picks]),
+                             tuple(np.delete(pool_idx, picks)), tuple(test_idx))
+            cells.append((fraction, budget, pool,
+                          cap_queries(config.stop, budget - n_seed_set)))
         for strategy in config.strategies:
             # cell seeds derive from content, not list position, so cells are
             # identical however the config orders them or the runner schedules them
             name_tag = zlib.crc32(strategy.display_name.encode("utf-8"))
-            for fraction, budget in zip(config.fractions, budgets):
-                n_seed_set = config.seed_size or max(n_classes, config.batch)
-                n_seed_set = min(budget, n_seed_set)
-                # the seed set depends only on (seed, budget): paired across strategies
-                picks = make_rng(seed, 11, budget).choice(
-                    len(pool_idx), size=n_seed_set, replace=False)
-                labeled = pool_idx[np.sort(picks)]
-                mask = np.ones(len(pool_idx), dtype=bool)
-                mask[picks] = False
-                unlabeled = pool_idx[mask]
-                pool = PoolState(dataset, tuple(labeled), tuple(unlabeled),
-                                 tuple(test_idx))
-                remaining = budget - n_seed_set
-                if config.stop is None:
-                    stop = StoppingCriteria(max_queries=remaining)
-                else:
-                    mq = remaining if config.stop.max_queries is None \
-                        else min(config.stop.max_queries, remaining)
-                    stop = replace(config.stop, max_queries=mq)
+            for fraction, budget, pool, stop in cells:
                 regressor, lal_train_time = None, 0.0
                 if strategy.kind == "lal":
                     params = strategy.lal_params
@@ -322,10 +320,16 @@ def load_rows(path) -> List[ExperimentRow]:
     rows = []
     for entry in payload:
         try:
-            # reports written before lal_train_time_s existed lack that field
-            rows.append(ExperimentRow(**{k: entry[k]
-                                         for k in REPORT_FIELDS + RAW_FIELDS
-                                         if k != "lal_train_time_s" or k in entry}))
-        except (KeyError, TypeError) as exc:
+            row = ExperimentRow(**{k: entry[k] for k in REPORT_FIELDS + RAW_FIELDS
+                                   if k in entry})
+        except TypeError as exc:  # a missing field, or a row that is no object
             raise ConfigError(f"{path}: malformed report row: {exc}") from exc
+        for field in fields(ExperimentRow):
+            value = getattr(row, field.name)
+            kinds, what = _FIELD_KINDS[field.type]
+            # bool is an int subclass, but true is neither a seed nor a number
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{path}: report field {field.name!r} must be "
+                                  f"{what}, got {value!r}")
+        rows.append(row)
     return rows

@@ -401,9 +401,8 @@ def _cmd_stream(args) -> int:
     # the stream keeps dataset order, so a drift onset stays a stream position
     test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
     if budget is None:
-        budget = subset_size(0.15, len(stream))
-        stream_cfg = replace(stream_cfg, max_label_budget=budget)
-    stop = stop or StoppingCriteria(max_queries=budget)
+        stream_cfg = replace(stream_cfg,
+                             max_label_budget=subset_size(0.15, len(stream)))
     with _naming("oracle_noise", InvalidThreshold):
         oracle = Oracle(dataset=stream, noise_rate=cfg.get("oracle_noise"),
                         seed=seed)

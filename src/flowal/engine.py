@@ -14,7 +14,7 @@ making a run's history (minus wall-clock fields) a pure function of its inputs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
@@ -193,6 +193,13 @@ class RunHistory:
         return self.iterations[-1].cumulative_selection_time
 
 
+def cap_queries(stop: Optional[StoppingCriteria], budget: int) -> StoppingCriteria:
+    """``stop`` (or None) with ``budget`` folded into max_queries; the smaller wins."""
+    mq = stop and stop.max_queries
+    return replace(stop or StoppingCriteria(max_queries=budget),
+                   max_queries=budget if mq is None else min(budget, mq))
+
+
 def check_stop(stop: StoppingCriteria, history: RunHistory,
                elapsed_seconds: float) -> Optional[StopReason]:
     """First stopping criterion that fires, or None."""
@@ -320,8 +327,9 @@ class StreamConfig:
 
     An arriving instance is queried when its uncertainty measure reaches
     ``threshold`` (margin, which shrinks with uncertainty, is compared with
-    <= instead) and the label budget has room; everything else is discarded
-    permanently.  The model refits after every ``retrain_every`` queries.
+    <= instead) and the label budget, ``max_label_budget`` queries after the
+    seed prefix, has room; everything else is discarded permanently.  The
+    model refits after every ``retrain_every`` queries.
     """
 
     measure: str = "entropy"
@@ -345,7 +353,7 @@ class StreamConfig:
 
 def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
                     learner: ForestParams, oracle: Oracle,
-                    stop: StoppingCriteria, seed: int,
+                    stop: Optional[StoppingCriteria], seed: int,
                     clock: Optional[Clock] = None) -> RunHistory:
     """Stream-based selective sampling over ``stream`` in its given order.
 
@@ -353,14 +361,15 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     initial model (recorded as the first iteration).  Each later instance is
     measured once and either queried or discarded forever; the model refits
     after every ``retrain_every`` queried instances and once more at the end
-    if queries are pending.  Querying stops for good once the queries reach
-    ``min(max_label_budget, stop.max_queries)``.  ``test`` is a held-out set
-    used for the accuracy record and accuracy-based stopping.
+    if queries are pending.  ``cap_queries`` folds the label budget into
+    ``stop``, which may be None.  ``test`` is a held-out set used for the
+    accuracy record and accuracy-based stopping.
     """
     n = len(stream)
     if n == 0:
         raise EmptyStream("stream has no records")
     clock = clock or time.perf_counter
+    stop = cap_queries(stop, config.max_label_budget)
     n_seed = max(1, subset_size(config.seed_fraction, n))
     labeled = list(range(n_seed))
     labels = [oracle_label(oracle, i) for i in labeled]
@@ -372,12 +381,9 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
                           learner, derive_seed(seed, 13, iteration))
 
     model, stopped = run.refit(fit, len(labeled), ())
-    cap = config.max_label_budget
-    if stop.max_queries is not None:
-        cap = min(cap, stop.max_queries)
     pending: List[int] = []
     for i in range(n_seed, n):
-        if stopped or len(labeled) - n_seed >= cap:
+        if stopped or len(labeled) - n_seed >= stop.max_queries:
             break
         t0 = clock()
         probs = model.predict_proba_many(stream.features[i:i + 1])

@@ -372,11 +372,12 @@ class ForestModel:
         m = X.shape[0]
         counts = np.zeros((m, self.schema.n_classes), dtype=np.int64)
         total = np.zeros(m) if with_depth else None
-        rows = np.arange(m)
+        # each row's offset in the flat counts; a row occurs once per tree
+        starts = np.arange(m) * self.schema.n_classes
         Xf = np.asfortranarray(X)
         for tree in self.trees:
             leaves = tree.apply(Xf)
-            counts[rows, tree.value[leaves]] += 1
+            counts.reshape(-1)[starts + tree.value[leaves]] += 1
             if with_depth:
                 total += tree.depth[leaves]
         return counts, total

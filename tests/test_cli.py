@@ -8,11 +8,13 @@ import pytest
 import flowal.cli
 from flowal import (
     DriftSpec,
+    ExperimentRow,
     ForestParams,
     SyntheticSpec,
     generate_synthetic,
     subset_size,
 )
+from flowal.bench import rows_to_json
 from flowal.cli import cli_main, parse_config_text
 from flowal.errors import ConfigError, EmptyPool, InvalidPool, MissingColumn
 
@@ -177,6 +179,26 @@ class TestUsageErrors:
                          str(tmp_path / "t.md"), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert f"config error: {rows}: not a json report" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("accuracy", "0.9", "'accuracy' must be a number, got '0.9'"),
+        ("tar", None, "'tar' must be a number, got None"),
+        ("time_s", True, "'time_s' must be a number, got True"),
+        ("seed", 1.0, "'seed' must be an integer, got 1.0"),
+    ])
+    def test_report_field_of_wrong_type_exits_1(self, tmp_path, capsys,
+                                                 field, value, message):
+        row = ExperimentRow("entropy", 0.1, 0, 1.0, 0.9, 0.95, 0.5, 0.95,
+                            0.8, 0.2, 2.0)
+        payload = json.loads(rows_to_json([row]))
+        payload[0][field] = value
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli_main(["report", str(rows), "--output",
+                         str(tmp_path / "t.md"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {rows}: report field {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("error, code, message", [
@@ -357,10 +379,28 @@ stream.retrain_every = 10
         monkeypatch.setattr(flowal.cli, "run_stream_loop", capture)
         assert cli_main(["stream", "--config", cfg, "--quiet",
                          "--output", str(tmp_path / "h.csv")]) == 0
-        budget = subset_size(0.15, seen["n"])
-        assert seen["config"].max_label_budget == budget == 38
-        assert seen["stop"].max_queries == budget
+        # the loop gets the user's criteria (none are set) and folds the
+        # budget in itself
+        assert seen["config"].max_label_budget == subset_size(0.15, seen["n"]) == 38
+        assert seen["stop"] is None
         assert seen["learner"] == ForestParams(n_trees=6, bootstrap=False)
+
+    @pytest.mark.parametrize("stop", ["", "stop.accuracy = 0.9999",
+                                      "stop.time_budget = 1000"])
+    def test_spent_stream_budget_stops_as_max_queries(self, tmp_path, stop):
+        # threshold 0 queries every arrival, and on these overlapping classes
+        # accuracy stays far below 0.9999, so only the budget can stop it
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG, f"""seeds = 0
+synthetic.separation = 1.0
+stream.budget = 30
+stream.threshold = 0
+{stop}""".strip()))
+        out = tmp_path / "h.json"
+        assert cli_main(["stream", "--config", cfg, "--format", "json",
+                         "--output", str(out), "--quiet"]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert sum(it["n_queried"] for it in payload["iterations"]) == 30
+        assert payload["stop_reason"] == "max_queries"
 
     def test_stream_formats_hold_the_same_history(self, tmp_path):
         cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG, """seeds = 0

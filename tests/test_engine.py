@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowal import (
     Dataset,
@@ -380,6 +382,46 @@ class TestStreamLoop:
                                   StoppingCriteria(max_queries=cap), 3)
         assert history.total_queries() == cap
         assert [len(it.queried) for it in history.iterations] == batches
+        assert history.stop_reason == StopReason.MAX_QUERIES
+
+    def test_budget_alone_stops_like_max_queries(self):
+        # the budget is the loop's own max_queries criterion: no criteria and
+        # the same cap as explicit criteria run identically, clock reads included
+        stream, test = stream_pair(3)
+        cfg = StreamConfig(measure="entropy", threshold=0.0,
+                           max_label_budget=25, seed_fraction=0.05,
+                           retrain_every=10)
+
+        def run(stop):
+            return run_stream_loop(stream, test, cfg, ForestParams(n_trees=8),
+                                   Oracle(stream, 0.0, 3), stop, 3,
+                                   clock=FakeClock())
+        alone = run(None)
+        explicit = run(StoppingCriteria(max_queries=25))
+        assert alone.iterations == explicit.iterations
+        assert [len(it.queried) for it in alone.iterations] == [0, 10, 10, 5]
+        assert alone.stop_reason == explicit.stop_reason == StopReason.MAX_QUERIES
+
+    @settings(max_examples=25, deadline=None)
+    @given(budget=st.integers(0, 40),
+           max_queries=st.none() | st.integers(0, 40),
+           time_budget=st.none() | st.just(1e9))
+    def test_spent_budget_stops_as_max_queries(self, budget, max_queries,
+                                               time_budget):
+        # threshold 0 queries every arrival, so only the smaller cap stops it
+        stream, test = stream_pair(7)
+        cfg = StreamConfig(measure="entropy", threshold=0.0,
+                           max_label_budget=budget, seed_fraction=0.05,
+                           retrain_every=10)
+        stop = None
+        if max_queries is not None or time_budget is not None:
+            stop = StoppingCriteria(max_queries=max_queries,
+                                    time_budget=time_budget)
+        history = run_stream_loop(stream, test, cfg, ForestParams(n_trees=3),
+                                  Oracle(stream, 0.0, 7), stop, 7,
+                                  clock=FakeClock())
+        cap = budget if max_queries is None else min(budget, max_queries)
+        assert history.total_queries() == cap
         assert history.stop_reason == StopReason.MAX_QUERIES
 
     def test_deterministic_history(self):
