@@ -1,4 +1,4 @@
-"""Experiment orchestration and report emission.
+"""Experiment orchestration and every output format flowal writes.
 
 ``run_experiment`` reproduces the benchmark protocol: per seed it shuffles
 off a test split, trains the full-pool baseline, then runs one pool-based AL
@@ -25,7 +25,7 @@ import json
 import time
 import zlib
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .engine import (
     Clock,
     Oracle,
     PoolState,
+    RunHistory,
     StoppingCriteria,
     cap_queries,
     oracle_label,
@@ -62,10 +63,9 @@ DEFAULT_FRACTIONS = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64)
 
 FULL_BASELINE_NAME = "full"
 
-REPORT_FORMATS = ("csv", "json", "md")
 REPORT_FIELDS = ("strategy", "fraction", "seed", "time_s", "accuracy", "tar", "ttr")
-RAW_FIELDS = ("full_accuracy", "train_time_s", "select_time_s", "full_train_time_s",
-              "lal_train_time_s")
+HISTORY_FIELDS = ("iteration", "n_labeled", "n_queried", "accuracy",
+                  "cumulative_selection_s", "cumulative_training_s", "stop_reason")
 # the json types a report row's fields may hold, by ExperimentRow annotation
 _FIELD_KINDS = {"str": (str, "a string"), "int": (int, "an integer"),
                 "float": ((int, float), "a number")}
@@ -248,22 +248,42 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+def write_csv(fh, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then each of ``rows`` to ``fh`` as it is drawn."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for r in rows:
-        writer.writerow([r.strategy, _fmt(r.fraction), r.seed, _fmt(r.time_s),
-                         _fmt(r.accuracy), _fmt(r.tar), _fmt(r.ttr)])
+    write_csv(buf, header, rows)
     return buf.getvalue()
 
 
-def rows_to_json(rows: Sequence[ExperimentRow]) -> str:
-    payload = []
-    for r in rows:
-        entry = asdict(r)
-        payload.append({k: entry[k] for k in REPORT_FIELDS + RAW_FIELDS})
+def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def md_table(header: Sequence, rows: Iterable[Sequence]) -> str:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+    return "\n".join(lines)
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+    return _csv_text(REPORT_FIELDS, (
+        [r.strategy, _fmt(r.fraction), r.seed, _fmt(r.time_s),
+         _fmt(r.accuracy), _fmt(r.tar), _fmt(r.ttr)] for r in rows))
+
+
+def rows_to_json(rows: Sequence[ExperimentRow]) -> str:
+    return json_text([asdict(r) for r in rows])
 
 
 def rows_to_md(rows: Sequence[ExperimentRow]) -> str:
@@ -271,41 +291,53 @@ def rows_to_md(rows: Sequence[ExperimentRow]) -> str:
 
     Cells average over seeds when a cell was run under several seeds.
     """
-    strategies = sorted({r.strategy for r in rows})
     lines = []
-    for name in strategies:
+    for name in sorted({r.strategy for r in rows}):
         subset = [r for r in rows if r.strategy == name]
         fractions = sorted({r.fraction for r in subset})
-        lines.append(f"## {name}")
-        lines.append("")
         header = ["metric"] + [_fmt(f) for f in fractions]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
+        table = []
         for label, attr in (("Accuracy", "accuracy"), ("Time (s)", "time_s"),
                             ("TAR", "tar"), ("TTR", "ttr")):
             cells = []
             for f in fractions:
                 vals = [getattr(r, attr) for r in subset if r.fraction == f]
                 cells.append(_fmt(sum(vals) / len(vals)))
-            lines.append("| " + " | ".join([label] + cells) + " |")
-        lines.append("")
+            table.append([label] + cells)
+        lines += [f"## {name}", "", md_table(header, table), ""]
     return "\n".join(lines)
+
+
+def check_format(format: str) -> str:
+    """``format`` if the writers know it; otherwise a ConfigError."""
+    if format not in ("csv", "json", "md"):
+        raise ConfigError(f"unknown report format {format!r}")
+    return format
 
 
 def emit_report(rows: Sequence[ExperimentRow], format: str, path) -> None:
     """Write rows to ``path`` as csv, json, or md (UTF-8)."""
     if not rows:
         raise EmptyReport("no rows to report")
-    if format == "csv":
-        text = rows_to_csv(rows)
+    render = {"csv": rows_to_csv, "json": rows_to_json, "md": rows_to_md}
+    write_text(path, render[check_format(format)](rows))
+
+
+def emit_history(history: RunHistory, format: str, path) -> None:
+    """Write a stream history to ``path`` as csv, json, or md (UTF-8)."""
+    stop = history.stop_reason.value
+    records = [(i, it.n_labeled, len(it.queried), it.accuracy,
+                it.cumulative_selection_time, it.cumulative_training_time, stop)
+               for i, it in enumerate(history.iterations)]
+    if check_format(format) == "csv":
+        text = _csv_text(HISTORY_FIELDS, records)
     elif format == "json":
-        text = rows_to_json(rows)
-    elif format == "md":
-        text = rows_to_md(rows)
+        text = json_text({"stop_reason": stop, "iterations":
+                          [dict(zip(HISTORY_FIELDS, r)) for r in records]})
     else:
-        raise ConfigError(f"unknown report format {format!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        text = (md_table(HISTORY_FIELDS[:4], [(*r[:3], _fmt(r[3])) for r in records])
+                + f"\n\nStop reason: {stop}\n")
+    write_text(path, text)
 
 
 def load_rows(path) -> List[ExperimentRow]:
@@ -320,8 +352,8 @@ def load_rows(path) -> List[ExperimentRow]:
     rows = []
     for entry in payload:
         try:
-            row = ExperimentRow(**{k: entry[k] for k in REPORT_FIELDS + RAW_FIELDS
-                                   if k in entry})
+            row = ExperimentRow(**{f.name: entry[f.name]
+                                   for f in fields(ExperimentRow) if f.name in entry})
         except TypeError as exc:  # a missing field, or a row that is no object
             raise ConfigError(f"{path}: malformed report row: {exc}") from exc
         for field in fields(ExperimentRow):

@@ -19,22 +19,22 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .bench import (
-    REPORT_FORMATS,
     CsvSource,
     ExperimentConfig,
+    check_format,
+    emit_history,
     emit_report,
     load_rows,
     load_source,
     run_experiment,
+    write_csv,
 )
 from .dataset import (
     DriftSpec,
@@ -76,14 +76,22 @@ def _items(raw: str) -> List[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):  # float() reads 'nan' and 'inf'
+        raise ValueError(raw)
+    return value
+
+
 # (parser, what a value must be); a parser raises ValueError on a bad value
 _TEXT = (str, "text")
 _INT = (int, "an integer")
-_NUMBER = (float, "a number")
+_NUMBER = (_finite, "a finite number")
 _BOOL = (_bool, "true/false")
 _NAMES = (_items, "a comma list")
 _INTS = (lambda raw: [int(x) for x in _items(raw)], "comma-separated integers")
-_NUMBERS = (lambda raw: [float(x) for x in _items(raw)], "comma-separated numbers")
+_NUMBERS = (lambda raw: [_finite(x) for x in _items(raw)],
+            "comma-separated finite numbers")
 _SQRT_OR_INT = (lambda raw: raw if raw == "sqrt" else int(raw),
                 "'sqrt' or an integer")
 
@@ -197,7 +205,7 @@ def _load_config(path: Optional[str]) -> _Config:
     if path is None:
         raise _Usage("--config is required for this subcommand")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return _Config(parse_config_text(fh.read()))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -222,9 +230,7 @@ def _resolve(args):
                           f"(--output or config 'output')")
     fmt = None
     if "format" in args:
-        fmt = args.format or cfg.get("format")
-        if fmt not in REPORT_FORMATS:
-            raise ConfigError(f"unknown report format {fmt!r}")
+        fmt = check_format(args.format or cfg.get("format"))
     return cfg, seeds, output, fmt
 
 
@@ -368,12 +374,9 @@ def _cmd_generate(args) -> int:
     cfg, _, output, _ = _resolve(args)
     dataset = generate_synthetic(_synthetic_spec(cfg, args.synthetic_seed))
     with open(output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.schema.feature_names) + ["label"])
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(dataset.schema.class_names[dataset.labels[i]])
-            writer.writerow(row)
+        write_csv(fh, [*dataset.schema.feature_names, "label"],
+                  ([*x.tolist(), dataset.schema.class_names[y]]
+                   for x, y in zip(dataset.features, dataset.labels)))
     _info(args, f"wrote {len(dataset)} records to {output}")
     return 0
 
@@ -385,6 +388,7 @@ def _cmd_stream(args) -> int:
                           f"{','.join(map(str, seeds))}")
     seed = seeds[0]
     learner, stop, source = _learner(cfg), _stopping(cfg), _source(cfg, args.seed)
+    test_fraction = cfg.get("test_fraction")
     budget = cfg.get("stream.budget")
     # checked before the load; the default budget, 15% of the stream, is
     # filled in once the stream's length is known
@@ -397,7 +401,7 @@ def _cmd_stream(args) -> int:
             retrain_every=cfg.get("stream.retrain_every"),
         )
     dataset = load_source(source)
-    test_idx, rest = holdout_split(len(dataset), cfg.get("test_fraction"), seed)
+    test_idx, rest = holdout_split(len(dataset), test_fraction, seed)
     # the stream keeps dataset order, so a drift onset stays a stream position
     test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
     if budget is None:
@@ -408,47 +412,11 @@ def _cmd_stream(args) -> int:
                         seed=seed)
     history = run_stream_loop(stream, test, stream_cfg, learner, oracle,
                               stop, seed)
-    _write_history(history, fmt, output)
+    emit_history(history, fmt, output)
     _info(args, f"stream stopped: {history.stop_reason.value}; "
                 f"final accuracy {history.final_accuracy:.4f}; "
                 f"wrote {output}")
     return 0
-
-
-def _write_history(history, fmt: str, path) -> None:
-    """Write a stream history as csv, json or md (``fmt`` is already checked)."""
-    records = [
-        {
-            "iteration": i,
-            "n_labeled": it.n_labeled,
-            "n_queried": len(it.queried),
-            "accuracy": it.accuracy,
-            "cumulative_selection_s": it.cumulative_selection_time,
-            "cumulative_training_s": it.cumulative_training_time,
-            "stop_reason": history.stop_reason.value,
-        }
-        for i, it in enumerate(history.iterations)
-    ]
-    if fmt == "json":
-        text = json.dumps({"stop_reason": history.stop_reason.value,
-                           "iterations": records}, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(records[0]),
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-        text = buf.getvalue()
-    else:
-        lines = ["| iteration | n_labeled | n_queried | accuracy |",
-                 "|---|---|---|---|"]
-        lines += [f"| {r['iteration']} | {r['n_labeled']} | {r['n_queried']} "
-                  f"| {r['accuracy']:.4f} |" for r in records]
-        lines.append("")
-        lines.append(f"Stop reason: {history.stop_reason.value}")
-        text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _cmd_report(args) -> int:

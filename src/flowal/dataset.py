@@ -222,9 +222,10 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
 
     The schema is derived from the header and the observed label strings;
     class indices follow first-appearance order.  Parse errors report the
-    1-based physical line number (the header is line 1).
+    1-based physical line number (the header is line 1).  A leading
+    byte-order mark, which many spreadsheet exports write, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import flowal.bench
+import flowal.cli
 from flowal import (
     ExperimentConfig,
     ExperimentRow,
@@ -18,6 +19,8 @@ from flowal import (
     run_experiment,
 )
 from flowal.bench import rows_to_csv, rows_to_json, rows_to_md
+from flowal.cli import cli_main
+from flowal.engine import IterationRecord, RunHistory, StopReason
 from flowal.errors import ConfigError, EmptyReport
 from tests.test_engine import FakeClock
 
@@ -48,6 +51,13 @@ def sample_row(**overrides):
                 full_train_time_s=139.8)
     base.update(overrides)
     return ExperimentRow(**base)
+
+
+# a fixed three-iteration stream history
+HISTORY = RunHistory([IterationRecord(4, (), 0.5, 0.0, 0.125),
+                      IterationRecord(6, (7, 2), 0.75, 0.0625, 0.25),
+                      IterationRecord(7, (9,), 0.875, 0.09375, 0.375)],
+                     StopReason.MAX_QUERIES)
 
 
 class TestRunExperiment:
@@ -297,8 +307,171 @@ class TestEmitReport:
         with pytest.raises(EmptyReport):
             emit_report([], "csv", tmp_path / "nothing.csv")
 
+    @pytest.mark.parametrize("emit, value", [("emit_report", [sample_row()]),
+                                             ("emit_history", HISTORY)])
+    def test_unknown_format_rejected(self, tmp_path, emit, value):
+        path = tmp_path / "out.xml"
+        with pytest.raises(ConfigError, match="unknown report format 'xml'"):
+            getattr(flowal.bench, emit)(value, "xml", path)
+        assert not path.exists()
+
     def test_json_has_raw_fields(self):
         payload = json.loads(rows_to_json([sample_row()]))
         for key in ("full_accuracy", "train_time_s", "select_time_s",
                     "full_train_time_s", "lal_train_time_s", "tar", "ttr"):
             assert key in payload[0]
+
+
+ROWS_CSV = """\
+strategy,fraction,seed,time_s,accuracy,tar,ttr
+full,1.0000,0,2.5000,0.9375,1.0000,1.0000
+lal,0.0500,0,0.7500,0.8125,0.8667,0.3000
+"""
+
+ROWS_JSON = """\
+[
+  {
+    "accuracy": 0.9375,
+    "fraction": 1.0,
+    "full_accuracy": 0.9375,
+    "full_train_time_s": 2.5,
+    "lal_train_time_s": 0.0,
+    "seed": 0,
+    "select_time_s": 0.0,
+    "strategy": "full",
+    "tar": 1.0,
+    "time_s": 2.5,
+    "train_time_s": 2.5,
+    "ttr": 1.0
+  },
+  {
+    "accuracy": 0.8125,
+    "fraction": 0.05,
+    "full_accuracy": 0.9375,
+    "full_train_time_s": 2.5,
+    "lal_train_time_s": 1.125,
+    "seed": 0,
+    "select_time_s": 0.25,
+    "strategy": "lal",
+    "tar": 0.8666666666666667,
+    "time_s": 0.75,
+    "train_time_s": 0.5,
+    "ttr": 0.3
+  }
+]
+"""
+
+ROWS_MD = """\
+## full
+
+| metric | 1.0000 |
+|---|---|
+| Accuracy | 0.9375 |
+| Time (s) | 2.5000 |
+| TAR | 1.0000 |
+| TTR | 1.0000 |
+
+## lal
+
+| metric | 0.0500 |
+|---|---|
+| Accuracy | 0.8125 |
+| Time (s) | 0.7500 |
+| TAR | 0.8667 |
+| TTR | 0.3000 |
+"""
+
+HISTORY_CSV = """\
+iteration,n_labeled,n_queried,accuracy,cumulative_selection_s,\
+cumulative_training_s,stop_reason
+0,4,0,0.5,0.0,0.125,max_queries
+1,6,2,0.75,0.0625,0.25,max_queries
+2,7,1,0.875,0.09375,0.375,max_queries
+"""
+
+HISTORY_JSON = """\
+{
+  "iterations": [
+    {
+      "accuracy": 0.5,
+      "cumulative_selection_s": 0.0,
+      "cumulative_training_s": 0.125,
+      "iteration": 0,
+      "n_labeled": 4,
+      "n_queried": 0,
+      "stop_reason": "max_queries"
+    },
+    {
+      "accuracy": 0.75,
+      "cumulative_selection_s": 0.0625,
+      "cumulative_training_s": 0.25,
+      "iteration": 1,
+      "n_labeled": 6,
+      "n_queried": 2,
+      "stop_reason": "max_queries"
+    },
+    {
+      "accuracy": 0.875,
+      "cumulative_selection_s": 0.09375,
+      "cumulative_training_s": 0.375,
+      "iteration": 2,
+      "n_labeled": 7,
+      "n_queried": 1,
+      "stop_reason": "max_queries"
+    }
+  ],
+  "stop_reason": "max_queries"
+}
+"""
+
+HISTORY_MD = """\
+| iteration | n_labeled | n_queried | accuracy |
+|---|---|---|---|
+| 0 | 4 | 0 | 0.5000 |
+| 1 | 6 | 2 | 0.7500 |
+| 2 | 7 | 1 | 0.8750 |
+
+Stop reason: max_queries
+"""
+
+GENERATED_CSV = """\
+f0,f1,label
+5.198068574746553,-1.324358995628145,class_0
+-0.24836162209524854,6.420445238065522,class_1
+7.136046532489643,0.10970639932180819,class_0
+-0.5526473205362324,5.215219644655722,class_1
+"""
+
+
+def test_writers_emit_pinned_bytes(tmp_path, monkeypatch):
+    """Every writer's exact output, so a refactor cannot move one byte."""
+    rows = [
+        ExperimentRow("full", 1.0, 0, 2.5, 0.9375, 1.0, 1.0, 0.9375, 2.5,
+                      0.0, 2.5),
+        ExperimentRow("lal", 0.05, 0, 0.75, 0.8125, 0.8125 / 0.9375,
+                      0.75 / 2.5, 0.9375, 0.5, 0.25, 2.5,
+                      lal_train_time_s=1.125),
+    ]
+    assert rows_to_csv(rows) == ROWS_CSV
+    assert rows_to_json(rows) == ROWS_JSON
+    assert rows_to_md(rows) == ROWS_MD
+
+    # the stream history goes through ``flowal stream`` with the loop
+    # replaced by a fixed one
+    monkeypatch.setattr(flowal.cli, "run_stream_loop",
+                        lambda *args, **kwargs: HISTORY)
+    config = tmp_path / "tiny.conf"
+    config.write_text("synthetic.classes = 2\nsynthetic.per_class = 2\n"
+                      "synthetic.features = 2\nsynthetic.seed = 5\nseeds = 0\n",
+                      encoding="utf-8")
+    for fmt, expected in (("csv", HISTORY_CSV), ("json", HISTORY_JSON),
+                          ("md", HISTORY_MD)):
+        out = tmp_path / f"history.{fmt}"
+        assert cli_main(["stream", "--config", str(config), "--format", fmt,
+                         "--output", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    out = tmp_path / "flows.csv"
+    assert cli_main(["generate", "--config", str(config), "--output", str(out),
+                     "--quiet"]) == 0
+    assert out.read_bytes() == GENERATED_CSV.encode("utf-8")

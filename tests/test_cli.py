@@ -74,12 +74,38 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("just some words\n")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.conf"
+        path.write_text("\ufeff" + SYNTH_CONFIG.lstrip(), encoding="utf-8")
+        assert cli_main(["generate", "--config", str(path), "--quiet",
+                         "--output", str(tmp_path / "flows.csv")]) == 0
+
 
 class TestUsageErrors:
     def test_run_without_config_exits_1(self, capsys):
         assert cli_main(["run"]) == 1
         err = capsys.readouterr().err
         assert "--config" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["report", "rows.json"], 0),
+        (["report", "missing.json"], 3),
+        (["run"], 1),
+        ([], 1),
+    ])
+    def test_entry_point_exits_with_the_cli_code(self, tmp_path, monkeypatch,
+                                                 capsys, argv, code):
+        row = ExperimentRow("entropy", 0.1, 0, 1.0, 0.9, 0.95, 0.5, 0.95,
+                            0.8, 0.2, 2.0)
+        (tmp_path / "rows.json").write_text(rows_to_json([row]),
+                                            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        if argv:
+            argv = argv + ["--output", "t.md", "--quiet"]
+        monkeypatch.setattr("sys.argv", ["flowal", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            flowal.cli.main()
+        assert exit_info.value.code == cli_main(argv) == code
 
     def test_no_subcommand_prints_usage(self, capsys):
         assert cli_main([]) == 1
@@ -116,6 +142,14 @@ class TestUsageErrors:
         ("run", "density.base = bogus"),
         ("run", "qbc.committee_size = 1\nstrategies = qbc_kl"),
         ("run", "stop.max_queries = -1"),
+        # float() reads these; a config number must be finite
+        ("stream", "test_fraction = nan"),
+        ("stream", "test_fraction = inf"),
+        ("run", "stop.time_budget = nan"),
+        ("generate", "synthetic.noise = nan"),
+        ("generate", "synthetic.drift_onset = 10\nsynthetic.drift_shift = inf"),
+        ("run", "density.beta = inf"),
+        ("stream", "stream.threshold = nan"),
     ])
     def test_bad_setting_exits_1(self, tmp_path, capsys, command, setting):
         cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG,
@@ -127,6 +161,13 @@ class TestUsageErrors:
         section = setting.split(" ")[0].split(".")[0]
         assert err.startswith(f"config error: {section}"), err
         assert "Traceback" not in err
+
+    def test_non_finite_number_names_its_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SYNTH_CONFIG + "density.beta = inf\n")
+        assert cli_main(["run", "--config", cfg, "--quiet",
+                         "--output", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == \
+            "config error: density.beta: expected a finite number, got 'inf'\n"
 
     @pytest.mark.parametrize("command", ["run", "stream"])
     def test_empty_seed_list_exits_1(self, tmp_path, capsys, command):
@@ -351,7 +392,7 @@ stream.retrain_every = 10
         assert f"config error: {message}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("setting", STREAM_SETTINGS)
+    @pytest.mark.parametrize("setting", STREAM_SETTINGS + ["test_fraction = nan"])
     def test_stream_settings_checked_before_the_load(self, tmp_path, capsys,
                                                      monkeypatch, setting):
         def spy(*args, **kwargs):

@@ -133,6 +133,21 @@ class TestLoadCsv:
         with pytest.raises(InvalidSchema):
             load_csv(path, IngestionConfig(label_column="label"))
 
+    @pytest.mark.parametrize("text, features", [
+        ("label,f0,f1\nx,1,2\ny,3,4\nx,5,6\n", None),
+        ("f0,f1,label\n1,2,x\n3,4,y\n5,6,x\n", None),
+        ("f0,f1,label\n1,2,x\n3,4,y\n5,6,x\n", ["f0", "f1"]),
+    ])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, features):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        config = IngestionConfig(label_column="label", feature_columns=features)
+        plain = load_csv(write(tmp_path, text), config)
+        marked = load_csv(write(tmp_path, "\ufeff" + text, name="bom.csv"), config)
+        assert marked.schema == plain.schema
+        assert plain.schema.feature_names == ("f0", "f1")
+        np.testing.assert_array_equal(marked.features, plain.features)
+        np.testing.assert_array_equal(marked.labels, plain.labels)
+
     def test_label_listed_as_feature_rejected(self, tmp_path):
         path = write(tmp_path, "a,label\n1,x\n2,y\n")
         with pytest.raises(InvalidSchema):
