@@ -207,8 +207,8 @@ def run_experiment(config: ExperimentConfig,
                              config.seed_size or max(n_classes, config.batch))
             picks = make_rng(seed, 11, budget).choice(
                 len(pool_idx), size=n_seed_set, replace=False)
-            pool = PoolState(dataset, tuple(pool_idx[picks]),
-                             tuple(np.delete(pool_idx, picks)), tuple(test_idx))
+            pool = PoolState(dataset, pool_idx[picks],
+                             np.delete(pool_idx, picks), test_idx)
             cells.append((fraction, budget, pool,
                           cap_queries(config.stop, budget - n_seed_set)))
         for strategy in config.strategies:
@@ -341,8 +341,8 @@ def emit_history(history: RunHistory, format: str, path) -> None:
 
 
 def load_rows(path) -> List[ExperimentRow]:
-    """Read rows back from a json report (the re-render input format)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read rows back from a json report, skipping a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8

@@ -42,33 +42,31 @@ from .strategies import (
 Clock = Callable[[], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoolState:
     """Partition of a dataset into labeled, unlabeled, and test index sets.
 
     The three sets must be pairwise disjoint; together they are the run's
-    index universe.  Index tuples are stored sorted, which also fixes the
-    tie-break order used by batch selection.
+    index universe.  Each is stored as a sorted, read-only int64 array, which
+    also fixes the tie-break order used by batch selection.
     """
 
     dataset: Dataset
-    labeled: Tuple[int, ...]
-    unlabeled: Tuple[int, ...]
-    test: Tuple[int, ...]
+    labeled: np.ndarray
+    unlabeled: np.ndarray
+    test: np.ndarray
 
     def __post_init__(self):
-        lab = tuple(sorted(int(i) for i in self.labeled))
-        unl = tuple(sorted(int(i) for i in self.unlabeled))
-        tst = tuple(sorted(int(i) for i in self.test))
-        object.__setattr__(self, "labeled", lab)
-        object.__setattr__(self, "unlabeled", unl)
-        object.__setattr__(self, "test", tst)
-        combined = lab + unl + tst
-        if len(set(combined)) != len(combined):
-            raise InvalidPool("labeled, unlabeled, and test sets overlap")
-        n = len(self.dataset)
-        if combined and (min(combined) < 0 or max(combined) >= n):
+        for name in ("labeled", "unlabeled", "test"):
+            indices = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
+            indices.flags.writeable = False
+            object.__setattr__(self, name, indices)
+        combined = np.concatenate([self.labeled, self.unlabeled, self.test])
+        if combined.size and (combined.min() < 0
+                              or combined.max() >= len(self.dataset)):
             raise InvalidPool("pool index outside the dataset")
+        if (np.bincount(combined) > 1).any():
+            raise InvalidPool("labeled, unlabeled, and test sets overlap")
 
 
 def make_pool(dataset: Dataset, test_fraction: float, n_seed: int,
@@ -77,8 +75,7 @@ def make_pool(dataset: Dataset, test_fraction: float, n_seed: int,
     test, rest = holdout_split(len(dataset), test_fraction, seed)
     if not 0 < n_seed <= rest.size:
         raise InvalidPool(f"seed size {n_seed} does not fit the train pool")
-    return PoolState(dataset, tuple(rest[:n_seed]), tuple(rest[n_seed:]),
-                     tuple(test))
+    return PoolState(dataset, rest[:n_seed], rest[n_seed:], test)
 
 
 @dataclass(frozen=True)
@@ -275,15 +272,15 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
     """
     if batch < 1:
         raise InvalidPool(f"batch must be >= 1, got {batch}")
-    if not pool.test:
+    if not len(pool.test):
         raise InvalidPool("pool loop needs a non-empty test set")
-    if not pool.labeled:
+    if not len(pool.labeled):
         raise InvalidPool("pool loop needs a non-empty seed labeled set")
     clock = clock or time.perf_counter
     test_ds = pool.dataset.subset(pool.test)
-    labeled = list(pool.labeled)
+    labeled = pool.labeled  # grows in query order, the order fits see
     labels = [oracle_label(oracle, i) for i in labeled]
-    unlabeled = list(pool.unlabeled)
+    unlabeled = pool.unlabeled
 
     run = _Recorder(stop, clock, test_ds)
     history = run.history
@@ -300,7 +297,7 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
 
     while True:
         state, stopped = run.refit(fit, len(labeled), queried_now)
-        if stopped or not unlabeled:
+        if stopped or not len(unlabeled):
             return history
         k = min(batch, len(unlabeled))
         if stop.max_queries is not None:
@@ -308,16 +305,13 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
         t0 = clock()
         if strategy.kind == "lal" and regressor is None:
             regressor = train_lal_regressor(strategy.lal_params)
-        current = PoolState(pool.dataset, tuple(labeled), tuple(unlabeled),
-                            pool.test)
+        current = PoolState(pool.dataset, labeled, unlabeled, pool.test)
         chosen = select_batch(strategy, state, current, k,
                               lal_regressor=regressor)
         run.select_time += clock() - t0
-        for idx in chosen:
-            labels.append(oracle_label(oracle, idx))
-            labeled.append(idx)
-        chosen_set = set(chosen)
-        unlabeled = [i for i in unlabeled if i not in chosen_set]
+        labels += [oracle_label(oracle, idx) for idx in chosen]
+        labeled = np.concatenate([labeled, chosen])
+        unlabeled = np.setdiff1d(unlabeled, chosen, assume_unique=True)
         queried_now = tuple(chosen)
 
 
@@ -361,9 +355,10 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     initial model (recorded as the first iteration).  Each later instance is
     measured once and either queried or discarded forever; the model refits
     after every ``retrain_every`` queried instances and once more at the end
-    if queries are pending.  ``cap_queries`` folds the label budget into
-    ``stop``, which may be None.  ``test`` is a held-out set used for the
-    accuracy record and accuracy-based stopping.
+    if queries are pending.  A seed prefix whose oracle labels hold fewer
+    than two classes is rejected before the first fit.  ``cap_queries``
+    folds the label budget into ``stop``, which may be None.  ``test`` is a
+    held-out set used for the accuracy record and accuracy-based stopping.
     """
     n = len(stream)
     if n == 0:
@@ -373,6 +368,11 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     n_seed = max(1, subset_size(config.seed_fraction, n))
     labeled = list(range(n_seed))
     labels = [oracle_label(oracle, i) for i in labeled]
+    if len(set(labels)) < 2:
+        # a one-class model scores every instance 0 and would never query
+        raise InvalidThreshold(
+            f"seed_fraction {config.seed_fraction} gives a {n_seed}-record seed "
+            "prefix with one class; the first model needs at least two")
 
     run = _Recorder(stop, clock, test)
 

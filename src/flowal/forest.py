@@ -439,8 +439,12 @@ class Committee:
         return np.stack([m.predict_many(X) for m in self.members])
 
     def member_probas(self, X) -> np.ndarray:
-        """(C, m, n_classes) stack of member vote-fraction distributions."""
-        return np.stack([m.predict_proba_many(X) for m in self.members])
+        """(C, m, n_classes) member vote fractions, filled member by member."""
+        X = self.members[0]._check_matrix(X)
+        out = np.empty((len(self.members), X.shape[0], self.schema.n_classes))
+        for member, probs in zip(self.members, out):
+            probs[...] = member.predict_proba_many(X)
+        return out
 
     def predict_proba_many(self, X) -> np.ndarray:
         """Consensus distribution: element-wise mean over members."""

@@ -140,6 +140,10 @@ def kl_disagreement(member_probs) -> float:
     return float(_kl_rows(np.stack(rows)[None, :, :])[0])
 
 
+# rows per block of _kl_rows: its temporaries are one block's, whatever the pool
+_KL_BLOCK = 512
+
+
 def _kl_rows(P: np.ndarray) -> np.ndarray:
     """Mean member-vs-consensus KL for a (m, C, n_classes) stack.
 
@@ -149,14 +153,20 @@ def _kl_rows(P: np.ndarray) -> np.ndarray:
     inequality, and the clamp keeps rounding dust from leaking tiny negatives.
     The consensus, each member's KL and the member mean are all summed in
     sorted order, so the score does not depend on class or member order.
+    Every step reads only a row's own (C, n_classes) slice, so scoring the
+    rows in blocks of ``_KL_BLOCK`` gives the same bits as one pass would.
     """
-    consensus = np.sort(P, axis=1).mean(axis=1, keepdims=True)
-    ratio = np.where(P > 0, P / np.where(consensus > 0, consensus, 1.0), 1.0)
-    terms = np.where(P > 0, P * np.log(ratio), 0.0)
-    member_kl = np.sort(terms, axis=-1).sum(axis=-1)
-    kl = np.maximum(np.sort(member_kl, axis=-1).mean(axis=-1), 0.0)
-    identical = (P == P[:, :1]).all(axis=(1, 2))
-    return np.where(identical, 0.0, kl)
+    kl = np.empty(P.shape[0])
+    for lo in range(0, P.shape[0], _KL_BLOCK):
+        B = P[lo:lo + _KL_BLOCK]
+        consensus = np.sort(B, axis=1).mean(axis=1, keepdims=True)
+        ratio = np.where(B > 0, B / np.where(consensus > 0, consensus, 1.0), 1.0)
+        terms = np.where(B > 0, B * np.log(ratio), 0.0)
+        member_kl = np.sort(terms, axis=-1).sum(axis=-1)
+        mean_kl = np.maximum(np.sort(member_kl, axis=-1).mean(axis=-1), 0.0)
+        identical = (B == B[:, :1]).all(axis=(1, 2))
+        kl[lo:lo + _KL_BLOCK] = np.where(identical, 0.0, mean_kl)
+    return kl
 
 
 def information_density(base_scores, pool_features, beta: float) -> np.ndarray:

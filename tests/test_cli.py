@@ -334,6 +334,20 @@ learner.trees = 5
                          "--output", str(out2), "--quiet"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_report_skips_a_byte_order_mark(self, tmp_path):
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG, """seeds = 0
+strategies = entropy
+fractions = 0.1"""))
+        rows_json, bom_json = tmp_path / "rows.json", tmp_path / "bom.json"
+        assert cli_main(["run", "--config", cfg, "--output", str(rows_json),
+                         "--format", "json", "--quiet"]) == 0
+        bom_json.write_bytes(b"\xef\xbb\xbf" + rows_json.read_bytes())
+        for path in (rows_json, bom_json):
+            assert cli_main(["report", str(path), "--format", "md", "--output",
+                             str(path.with_suffix(".md")), "--quiet"]) == 0
+        assert (tmp_path / "bom.md").read_bytes() \
+            == (tmp_path / "rows.md").read_bytes()
+
     def test_generated_csv_round_trips(self, tmp_path):
         gen_cfg = write_config(tmp_path, """
 synthetic.classes = 4
@@ -370,6 +384,30 @@ stream.retrain_every = 10
         assert len(records) >= 1
         assert records[0]["n_queried"] == "0"
         assert "stop_reason" in records[0]
+
+    # the defaults give a 1-record seed prefix; 0.1 gives 8 records, 3 classes
+    @pytest.mark.parametrize("seed_fraction, code", [("", 1), (
+        "stream.seed_fraction = 0.1", 0)])
+    def test_one_class_stream_seed_prefix_exits_1(self, tmp_path, capsys,
+                                                  seed_fraction, code):
+        cfg = write_config(tmp_path, f"""
+synthetic.classes = 3
+synthetic.per_class = 40
+synthetic.features = 3
+seeds = 0
+learner.trees = 4
+stream.budget = 10
+{seed_fraction}
+""")
+        assert cli_main(["stream", "--config", cfg, "--quiet", "--output",
+                         str(tmp_path / "h.json"), "--format", "json"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("config error: seed_fraction 0.01 gives a "
+                                  "1-record seed prefix with one class")
+        else:
+            assert (tmp_path / "h.json").exists()
 
     @pytest.mark.parametrize("seeds, output, message", [
         ("seeds = 0,1", "h.csv", "stream takes exactly one seed, got seeds = 0,1"),
@@ -479,6 +517,7 @@ synthetic.drift_shift = 3.0
 seeds = 5
 learner.trees = 3
 stream.budget = 10
+stream.seed_fraction = 0.05
 """)
         run_stream_loop = flowal.cli.run_stream_loop
         seen = {}

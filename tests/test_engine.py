@@ -183,6 +183,41 @@ class TestPoolState:
         with pytest.raises(InvalidPool):
             PoolState(ds, (0,), (1,), (10,))
 
+    @pytest.mark.parametrize("labeled, unlabeled, test, message", [
+        ((0, 1), (1, 2), (3,), "overlap"),
+        ((4, 4), (1,), (3,), "overlap"),
+        ((0,), (-1, 2), (3,), "outside"),
+        ((0,), (1,), (3, 10), "outside"),
+        ((0,), (-1,), (0,), "outside"),
+    ])
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_bad_indices_rejected(self, kind, labeled, unlabeled, test,
+                                  message):
+        with pytest.raises(InvalidPool, match=message):
+            PoolState(toy_dataset(10), kind(labeled), kind(unlabeled),
+                      kind(test))
+
+    @pytest.mark.parametrize("kind", [
+        tuple, list, np.array, lambda ix: np.array(ix, dtype=np.int32)])
+    def test_sets_are_sorted_read_only_int64_arrays(self, kind):
+        given = ([5, 1], [9, 0, 3], [7, 2])
+        inputs = [kind(ix) for ix in given]
+        pool = PoolState(toy_dataset(10), *inputs)
+        for got, ix in zip((pool.labeled, pool.unlabeled, pool.test), given):
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.tolist() == sorted(ix)
+            assert not got.flags.writeable
+        # the caller's arrays keep their order and stay writeable
+        assert [list(ix) for ix in inputs] == [list(ix) for ix in given]
+        for ix in inputs:
+            if isinstance(ix, np.ndarray):
+                assert ix.flags.writeable
+
+    def test_empty_sets_allowed(self):
+        pool = PoolState(toy_dataset(10), (), [], np.array([], dtype=np.int64))
+        for got in (pool.labeled, pool.unlabeled, pool.test):
+            assert got.dtype == np.int64 and got.size == 0
+
     def test_make_pool_partition(self):
         ds = toy_dataset(100)
         pool = make_pool(ds, 0.3, 10, 4)
@@ -475,6 +510,24 @@ class TestStreamLoop:
             run_stream_loop(empty, test, StreamConfig(max_label_budget=1),
                             ForestParams(n_trees=3), Oracle(stream, 0.0, 0),
                             StoppingCriteria(max_queries=1), 0)
+
+    @pytest.mark.parametrize("seed_fraction", [0.004, 0.02])
+    def test_one_class_seed_prefix_rejected_before_the_first_fit(
+            self, monkeypatch, seed_fraction):
+        stream, test = stream_pair(6)
+        # class-sorted, so a 1-record or a 4-record prefix holds one class
+        stream = stream.subset(np.argsort(stream.labels, kind="stable"))
+
+        def spy(*args, **kwargs):
+            raise AssertionError("fit_forest called")
+
+        monkeypatch.setattr("flowal.engine.fit_forest", spy)
+        with pytest.raises(InvalidThreshold, match="seed_fraction"):
+            run_stream_loop(stream, test,
+                            StreamConfig(max_label_budget=10,
+                                         seed_fraction=seed_fraction),
+                            ForestParams(n_trees=3), Oracle(stream, 0.0, 6),
+                            None, 6)
 
     def test_config_validation(self):
         with pytest.raises(InvalidThreshold):

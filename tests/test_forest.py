@@ -334,6 +334,16 @@ class TestCommittee:
         b = fit_committee(self.ds, 3, params, 9)
         np.testing.assert_array_equal(a.member_votes(probe), b.member_votes(probe))
 
+    def test_member_probas_match_a_stack_of_members(self):
+        committee = fit_committee(self.ds, 4, ForestParams(n_trees=7), 2)
+        for probe in (np.random.default_rng(6).normal(size=(30, 3)),
+                      self.ds.features[:1], np.empty((0, 3))):
+            expected = np.stack([m.predict_proba_many(probe)
+                                 for m in committee.members])
+            got = committee.member_probas(probe)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
     def test_invalid_size(self):
         with pytest.raises(InvalidCommitteeSize):
             fit_committee(self.ds, 1, ForestParams(n_trees=3), 0)

@@ -33,6 +33,7 @@ from flowal import (
     train_lal_regressor,
     vote_entropy,
 )
+from flowal import strategies
 from flowal.dataset import standardize
 from flowal.errors import (
     BatchTooLarge,
@@ -157,6 +158,56 @@ class TestKlDisagreement:
             kl_disagreement([[0.5, 0.5], [0.2, 0.3, 0.5]])
         with pytest.raises(EmptyCommittee):
             kl_disagreement([[0.5, 0.5]])
+
+
+def committee_stack(m, size=5, n_classes=4, trees=7, seed=0):
+    """(m, size, n_classes) member vote fractions laid out as score_pool does.
+
+    Vote fractions leave zero entries.  Rows 0, 4, 8, ... have identical
+    members, and rows 2, 6, 10, ... hold the row before them with the
+    members in a permuted order.
+    """
+    rng = np.random.default_rng(seed)
+    member = rng.multinomial(trees, np.ones(n_classes) / n_classes,
+                             size=(size, m)) / trees
+    P = np.swapaxes(member, 0, 1)  # a view, as score_pool hands it over
+    P[::4] = P[::4, :1]
+    for i in range(2, m, 4):
+        P[i] = P[i - 1, rng.permutation(size)]
+    return P
+
+
+class TestKlBlocks:
+    @pytest.mark.parametrize("m", [1, 511, 512, 513, 2000])
+    def test_blocks_match_one_block(self, monkeypatch, m):
+        P = committee_stack(m, seed=m)
+        blocked = strategies._kl_rows(P)
+        monkeypatch.setattr(strategies, "_KL_BLOCK", m)
+        whole = strategies._kl_rows(P)
+        assert np.array_equal(blocked, whole)
+        assert (blocked[::4] == 0.0).all()
+        permuted = blocked[2::4]
+        assert np.array_equal(permuted, blocked[1::4][:permuted.size])
+
+    def test_committee_scoring_memory_is_one_stack_plus_a_block(self):
+        # 4 classes and 3 features: the (C, m, n) member array outweighs the
+        # routed feature matrix, so whole-pool KL temporaries would dominate
+        ds = generate_synthetic(SyntheticSpec(n_classes=4, per_class=6010,
+                                              n_features=3, seed=4))
+        labeled = np.arange(0, len(ds), 400)
+        pool = PoolState(ds, labeled,
+                         np.setdiff1d(np.arange(len(ds)), labeled), ())
+        committee = fit_committee(ds.subset(labeled), 5,
+                                  ForestParams(n_trees=4), 0)
+        assert len(pool.unlabeled) >= 20_000
+        member_bytes = 5 * len(pool.unlabeled) * 4 * 8
+        tracemalloc.start()
+        try:
+            score_pool(StrategyConfig(kind="qbc_kl"), committee, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * member_bytes
 
 
 def brute_force_density_factors(Z):
