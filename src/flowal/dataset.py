@@ -328,10 +328,7 @@ class Scaler:
             )
         safe = np.where(self.std > 0, self.std, 1.0)
         out = (X - self.mean) / safe
-        if X.ndim == 2:
-            out[:, self.std == 0] = 0.0
-        else:
-            out[self.std == 0] = 0.0
+        out[..., self.std == 0] = 0.0
         return out
 
     def apply(self, dataset: Dataset) -> Dataset:

@@ -3,8 +3,9 @@
 Trees are CART grown on Gini impurity with bootstrap sampling and per-split
 random feature subsets.  Class probabilities are the fraction of trees voting
 for each class, which is the quantity the uncertainty strategies consume.
-Tree t's randomness derives from (seed, t), so a fitted model is a pure
-function of (data, params, seed) regardless of fitting order.
+Tree t's randomness derives from (seed, stream, t), so a fitted model is a
+pure function of (data, params, seed) regardless of fitting order.  The
+regressor LAL needs grows and routes through the same loops.
 
 Determinism rules baked in here:
   * split search takes the first candidate feature, in ascending index
@@ -264,71 +265,92 @@ def _midpoint(lo: float, hi: float) -> float:
     return float(lo) if mid >= hi else float(mid)
 
 
-def _grow_tree(X, y, params: ForestParams, rng: np.random.Generator,
-               n_classes: int = 0, regression: bool = False) -> _Tree:
-    """Grow one CART tree; nodes are created depth-first, left before right.
+def _grow_trees(X, labels, payload_rows, cut_impurity, leaf_value, placeholder,
+                params: ForestParams, seed: int, stream: int) -> list:
+    """Grow ``params.n_trees`` CART trees; tree t draws from (seed, stream, t).
 
-    The depth-first order fixes the sequence of rng draws (bootstrap first,
-    then one feature subset per split), making the tree a pure function of
-    (data, params, rng seed).
+    ``payload_rows(ys)`` gives one payload row per sampled label, summed by
+    ``cut_impurity`` over each candidate cut.  A leaf's value is
+    ``leaf_value`` of its rows' ``labels`` (classes or targets); internal
+    nodes store ``placeholder``.  Nodes are created depth-first, left before
+    right, which fixes the sequence of rng draws (bootstrap first, then one
+    feature subset per split) and makes each tree a pure function of (data,
+    params, rng seed).
     """
     n, d = X.shape
     k = params.resolve_features_per_split(d)
-    if params.bootstrap:
-        sample = rng.integers(0, n, size=n)
-    else:
-        sample = np.arange(n)
-    Xt = np.ascontiguousarray(X[sample].T)
-    ys = y[sample]
-    if regression:
-        payload, cut_impurity = np.column_stack([ys, ys * ys]), _sse_of_cuts
-    else:
-        payload, cut_impurity = np.zeros((n, n_classes)), _gini_of_cuts
-        payload[np.arange(n), ys] = 1.0
-    ws = _Workspace(k, n, payload.shape[1])
+    # every tree's sample has n rows, so the forest shares one workspace
+    ws = _Workspace(k, n, payload_rows(labels[:1]).shape[1])
+    trees = []
+    for t in range(params.n_trees):
+        rng = make_rng(seed, stream, t)
+        if params.bootstrap:
+            sample = rng.integers(0, n, size=n)
+        else:
+            sample = np.arange(n)
+        Xt = np.ascontiguousarray(X[sample].T)
+        ys = labels[sample]
+        payload = payload_rows(ys)
+        feature, threshold, left, right, value, depth_arr = [], [], [], [], [], []
 
-    feature, threshold, left, right, value, depth_arr = [], [], [], [], [], []
+        # stack entries: (row indices, depth, parent node id, is_right_child)
+        stack = [(np.arange(n), 0, -1, False)]
+        while stack:
+            idx, depth, parent, is_right = stack.pop()
+            node_id = len(feature)
+            if parent >= 0:
+                (right if is_right else left)[parent] = node_id
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            depth_arr.append(depth)
 
-    # stack entries: (row indices, depth, parent node id, is_right_child)
-    stack = [(np.arange(n), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node_id
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        depth_arr.append(depth)
+            node_labels = ys[idx]
+            can_split = (
+                idx.size >= params.min_samples_split
+                and not (node_labels == node_labels[0]).all()
+                and (params.max_depth is None or depth < params.max_depth)
+            )
+            split = None
+            if can_split:
+                feats = np.sort(rng.choice(d, size=k, replace=False))
+                split = _best_split(Xt, payload, idx, feats, cut_impurity, ws)
+            if split is None:
+                value.append(leaf_value(node_labels))
+                continue
+            f, thr, goes_left = split
+            feature[node_id] = f
+            threshold[node_id] = thr
+            value.append(placeholder)
+            # push right first so the left child is created (and draws rng) first
+            stack.append((idx[~goes_left], depth + 1, node_id, True))
+            stack.append((idx[goes_left], depth + 1, node_id, False))
+        trees.append(_Tree(feature, threshold, left, right, value, depth_arr))
+        # free this tree's sample before the next tree allocates its own
+        del Xt, payload
+    return trees
 
-        labels = ys[idx]
-        can_split = (
-            idx.size >= params.min_samples_split
-            and not (labels == labels[0]).all()
-            and (params.max_depth is None or depth < params.max_depth)
-        )
-        split = None
-        if can_split:
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-            split = _best_split(Xt, payload, idx, feats, cut_impurity, ws)
-        if split is None:
-            # regression leaves hold the mean target; class leaves the
-            # majority class, the first max being the lowest class index
-            if regression:
-                value.append(float(labels.mean()))
-            else:
-                value.append(int(np.bincount(labels, minlength=n_classes).argmax()))
-            continue
-        f, thr, goes_left = split
-        feature[node_id] = f
-        threshold[node_id] = thr
-        value.append(0.0 if regression else -1)
-        # push right first so the left child is created (and draws rng) first
-        stack.append((idx[~goes_left], depth + 1, node_id, True))
-        stack.append((idx[goes_left], depth + 1, node_id, False))
 
-    return _Tree(feature, threshold, left, right, value, depth_arr)
+def _majority(labels: np.ndarray) -> int:
+    # the first max of the counts is the lowest majority class
+    return int(np.bincount(labels).argmax())
+
+
+def _check_matrix(X, n_features: int) -> np.ndarray:
+    """X as a float (m, n_features) matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(f"expected {n_features} features, got shape {X.shape}")
+    return X
+
+
+def _leaves(trees: Sequence[_Tree], X: np.ndarray):
+    """Yield (tree, leaf ids of X's rows) for each tree, in tree order."""
+    # feature-major once, so no tree copies X again
+    Xf = np.asfortranarray(X)
+    for tree in trees:
+        yield tree, tree.apply(Xf)
 
 
 class ForestModel:
@@ -346,17 +368,6 @@ class ForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
-    def _check_matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.schema.n_features:
-            raise DimensionMismatch(
-                f"expected {self.schema.n_features} features, got shape {X.shape}"
-            )
-        return X
-
     def vote_counts(self, X) -> np.ndarray:
         """(m, n_classes) integer matrix of per-class tree votes."""
         return self._route(X, with_depth=False)[0]
@@ -368,15 +379,13 @@ class ForestModel:
 
     def _route(self, X, with_depth: bool):
         """Route X through every tree once; depths are summed in tree order."""
-        X = self._check_matrix(X)
+        X = _check_matrix(X, self.schema.n_features)
         m = X.shape[0]
         counts = np.zeros((m, self.schema.n_classes), dtype=np.int64)
         total = np.zeros(m) if with_depth else None
         # each row's offset in the flat counts; a row occurs once per tree
         starts = np.arange(m) * self.schema.n_classes
-        Xf = np.asfortranarray(X)
-        for tree in self.trees:
-            leaves = tree.apply(Xf)
+        for tree, leaves in _leaves(self.trees, X):
             counts.reshape(-1)[starts + tree.value[leaves]] += 1
             if with_depth:
                 total += tree.depth[leaves]
@@ -404,16 +413,12 @@ class ForestModel:
 
 
 def fit_forest(labeled: Dataset, params: ForestParams, seed: int) -> ForestModel:
-    """Fit ``params.n_trees`` CART trees; tree t is seeded by (seed, t)."""
+    """Fit ``params.n_trees`` CART trees; tree t is seeded by (seed, 0, t)."""
     if len(labeled) == 0:
         raise EmptyTrainingSet("cannot fit a forest on zero records")
-    X = labeled.features
-    y = labeled.labels
-    trees = [
-        _grow_tree(X, y, params, make_rng(seed, 0, t),
-                   n_classes=labeled.schema.n_classes)
-        for t in range(params.n_trees)
-    ]
+    onehot = np.eye(labeled.schema.n_classes)
+    trees = _grow_trees(labeled.features, labeled.labels, lambda ys: onehot[ys],
+                        _gini_of_cuts, _majority, -1, params, seed, 0)
     return ForestModel(labeled.schema, params, seed, trees, labeled.class_counts())
 
 
@@ -440,7 +445,7 @@ class Committee:
 
     def member_probas(self, X) -> np.ndarray:
         """(C, m, n_classes) member vote fractions, filled member by member."""
-        X = self.members[0]._check_matrix(X)
+        X = _check_matrix(X, self.schema.n_features)
         out = np.empty((len(self.members), X.shape[0], self.schema.n_classes))
         for member, probs in zip(self.members, out):
             probs[...] = member.predict_proba_many(X)
@@ -480,7 +485,7 @@ def evaluate_accuracy(model, test: Dataset) -> float:
     """
     if len(test) == 0:
         raise EmptyTestSet("cannot evaluate on an empty test set")
-    if test.schema.n_features != model.schema.n_features:
+    if test.schema != model.schema:
         raise SchemaMismatch("test schema does not match the model's")
     predictions = model.predict_many(test.features)
     return float(np.mean(predictions == test.labels))
@@ -497,32 +502,22 @@ class RegressionForestModel:
         self.trees = tuple(trees)
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"expected {self.n_features} features, got shape {X.shape}"
-            )
+        X = _check_matrix(X, self.n_features)
         total = np.zeros(X.shape[0])
-        Xf = np.asfortranarray(X)
-        for tree in self.trees:
-            total += tree.value[tree.apply(Xf)]
+        for tree, leaves in _leaves(self.trees, X):
+            total += tree.value[leaves]
         return total / len(self.trees)
-
-    def predict(self, features) -> float:
-        return float(self.predict_many(np.asarray(features, float)[None, :])[0])
 
 
 def fit_regression_forest(X, targets, params: ForestParams,
                           seed: int) -> RegressionForestModel:
-    """Fit a regression forest on raw arrays; used by the LAL meta-strategy."""
+    """Fit LAL's regression forest on raw arrays; tree t is seeded by (seed, 3, t)."""
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyTrainingSet("regression forest needs a non-empty matrix")
     if t.shape != (X.shape[0],):
         raise DimensionMismatch("one target per row required")
-    trees = [
-        _grow_tree(X, t, params, make_rng(seed, 3, i), regression=True)
-        for i in range(params.n_trees)
-    ]
+    trees = _grow_trees(X, t, lambda ys: np.column_stack([ys, ys * ys]),
+                        _sse_of_cuts, np.mean, 0.0, params, seed, 3)
     return RegressionForestModel(X.shape[1], params, seed, trees)

@@ -271,6 +271,17 @@ class TestStandardize:
         out = standardize(ds).apply(ds)
         np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0, 0.0])
 
+    def test_single_row_matches_matrix_row(self):
+        schema = FeatureSchema(("a", "b", "c"), ("x", "y"))
+        ds = Dataset(schema, [[5.0, 1.0, 0.0], [5.0, 2.0, 4.0], [5.0, 3.0, 1.0]],
+                     [0, 1, 0])
+        scaler = standardize(ds)
+        row = np.array([7.0, 2.5, -1.0])
+        single = scaler.transform(row)
+        assert single.shape == (3,)
+        assert single[0] == 0.0
+        np.testing.assert_array_equal(single, scaler.transform(row[None, :])[0])
+
     def test_population_convention_closed_form(self):
         # column [1,2,3]: mean 2, population stddev sqrt(2/3)
         schema = FeatureSchema(("a",), ("x", "y"))

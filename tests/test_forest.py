@@ -132,6 +132,13 @@ class TestPredict:
             model.predict(np.zeros(3))
         with pytest.raises(DimensionMismatch):
             model.predict_proba(np.zeros((2, 2)))
+        regressor = RegressionForestModel(2, ForestParams(n_trees=1), 0,
+                                          [constant_tree(0.5)])
+        for rows in (np.zeros((4, 3)), np.zeros(2)):
+            with pytest.raises(DimensionMismatch):
+                regressor.predict_many(rows)
+        with pytest.raises(DimensionMismatch):
+            model.vote_counts(np.zeros(2))
 
 
 def reference_leaf(tree, x):
@@ -371,8 +378,12 @@ class TestEvaluateAccuracy:
         model = hand_model([constant_tree(0)])
         other = Dataset(FeatureSchema(("a", "b", "c"), ("x", "y")),
                         [[1.0, 2.0, 3.0]], [0])
-        with pytest.raises(SchemaMismatch):
-            evaluate_accuracy(model, other)
+        # same features, different classes
+        relabeled = Dataset(FeatureSchema(("f0", "f1"), ("x", "z")),
+                            [[1.0, 2.0]], [0])
+        for test in (other, relabeled):
+            with pytest.raises(SchemaMismatch):
+                evaluate_accuracy(model, test)
 
 
 class TestForestParams:
