@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -217,13 +218,22 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(schema, X, labels)
 
 
-def load_csv(path, config: IngestionConfig) -> Dataset:
-    """Read a UTF-8, comma-separated flow CSV with one header row.
+def _number(cell: str) -> float:
+    """``float(cell)``, or NaN when the cell is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
-    The schema is derived from the header and the observed label strings;
-    class indices follow first-appearance order.  Parse errors report the
-    1-based physical line number (the header is line 1).  A leading
-    byte-order mark, which many spreadsheet exports write, is skipped.
+
+def load_csv(path, config: IngestionConfig) -> Dataset:
+    """Read a UTF-8, comma-separated flow CSV with one header row, in one pass.
+
+    Class indices follow first-appearance order among the rows kept.  Errors
+    name the 1-based physical line (the header is line 1) and the first bad
+    cell in feature order; cells are stripped, and a leading byte-order mark
+    is skipped.  Whole rows go onto one flat float buffer, so a skipped row
+    adds no class.  ``Dataset`` copies it: ingest peaks near 2x the matrix.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -245,11 +255,11 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
             feature_names = [h for h in header if h != config.label_column]
         if not feature_names:
             raise InvalidSchema("no feature columns remain after excluding the label")
-        col_of = {name: header.index(name) for name in feature_names}
+        cols = [header.index(name) for name in feature_names]
         label_col = header.index(config.label_column)
 
-        rows = []
-        label_strings = []
+        buf = array("d")
+        labels = array("q")
         class_index: dict = {}
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
@@ -260,33 +270,22 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
                         f"row {lineno}: expected {len(header)} cells, got {len(cells)}"
                     )
                 continue
-            values = np.empty(len(feature_names))
-            ok = True
-            for j, name in enumerate(feature_names):
-                cell = cells[col_of[name]].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    if config.strict:
-                        raise NonNumericValue(lineno, name, cell)
-                    ok = False
-                    break
-                values[j] = v
-            if not ok:
+            values = [_number(cells[c].strip()) for c in cols]
+            if not all(map(math.isfinite, values)):
+                if config.strict:
+                    j = next(j for j, v in enumerate(values) if not math.isfinite(v))
+                    raise NonNumericValue(lineno, feature_names[j],
+                                          cells[cols[j]].strip())
                 continue
+            buf.extend(values)
             label = cells[label_col].strip()
-            if label not in class_index:
-                class_index[label] = len(class_index)
-            rows.append(values)
-            label_strings.append(label)
+            labels.append(class_index.setdefault(label, len(class_index)))
 
-    if not rows:
+    if not labels:
         raise EmptyDataset(f"{path}: no data rows")
     schema = FeatureSchema(tuple(feature_names), tuple(class_index))
-    labels = np.array([class_index[s] for s in label_strings], dtype=np.int64)
-    return Dataset(schema, np.vstack(rows), labels)
+    return Dataset(schema, np.frombuffer(buf).reshape(-1, len(cols)),
+                   np.frombuffer(labels, dtype=np.int64))
 
 
 def holdout_split(n: int, test_fraction: float, seed: int):

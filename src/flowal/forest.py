@@ -514,7 +514,9 @@ def fit_regression_forest(X, targets, params: ForestParams,
     """Fit LAL's regression forest on raw arrays; tree t is seeded by (seed, 3, t)."""
     X = np.asarray(X, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got shape {X.shape}")
+    if X.shape[0] == 0:
         raise EmptyTrainingSet("regression forest needs a non-empty matrix")
     if t.shape != (X.shape[0],):
         raise DimensionMismatch("one target per row required")

@@ -154,6 +154,46 @@ class TestLoadCsv:
             load_csv(path, IngestionConfig(label_column="label",
                                            feature_columns=["a", "label"]))
 
+    def test_padded_numeric_cells_parse(self, tmp_path):
+        # str.strip() drops "\x1c" too, although float() alone rejects it
+        for pad in (" ", "\t", "\x1c"):
+            path = write(tmp_path, f"a,b,label\n{pad}1.5{pad},2,x\n3,{pad}-4,y\n",
+                         name=f"pad{ord(pad)}.csv")
+            ds = load_csv(path, IngestionConfig(label_column="label"))
+            np.testing.assert_array_equal(ds.features, [[1.5, 2.0], [3.0, -4.0]])
+
+    def test_first_bad_cell_in_feature_order_is_named(self, tmp_path):
+        path = write(tmp_path, "a,b,label\n1,2,x\noops, nan ,y\n")
+        for features, column, cell in ((None, "a", "oops"),
+                                       (["b", "a"], "b", "nan")):
+            with pytest.raises(NonNumericValue) as err:
+                load_csv(path, IngestionConfig(label_column="label",
+                                               feature_columns=features))
+            got = err.value
+            assert (got.row, got.column, got.value) == (3, column, cell)
+
+    def test_skipped_rows_add_no_class(self, tmp_path):
+        # "late" first appears on a bad row and "ragged" only on a ragged one
+        path = write(tmp_path, "a,b,label\noops,1,late\n1,2,ragged,extra\n"
+                               "1,2,x\n3,4,y\n5,inf,z\n5,6,late\n7,8,x\n")
+        ds = load_csv(path, IngestionConfig(label_column="label", strict=False))
+        assert ds.schema.class_names == ("x", "y", "late")
+        assert ds.labels.tolist() == [0, 1, 2, 0]
+        np.testing.assert_array_equal(ds.features[:, 0], [1, 3, 5, 7])
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_ingest_peak_stays_within_three_feature_matrices(self, tmp_path,
+                                                             peak_bytes, n):
+        X = np.random.default_rng(n).normal(size=(n, 12))
+        lines = [",".join([f"f{j}" for j in range(12)] + ["label"])]
+        lines += [",".join(map(repr, x)) + f",c{i % 3}"
+                  for i, x in enumerate(X.tolist())]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        config = IngestionConfig(label_column="label")
+        peak = peak_bytes(lambda: load_csv(path, config))
+        assert peak <= 3 * X.nbytes
+        np.testing.assert_array_equal(load_csv(path, config).features, X)
+
 
 def toy_dataset(n, d=1):
     schema = FeatureSchema(tuple(f"f{j}" for j in range(d)), ("x", "y"))

@@ -326,6 +326,18 @@ class TestPoolLoop:
                 hits += 1
         assert hits >= 8
 
+    def test_iteration_memory_grows_linearly_with_the_pool(self, peak_bytes):
+        # the seed fit and its evaluation, one selection, one refit
+        peaks = []
+        for per_class in (500, 2000):
+            ds = generate_synthetic(SyntheticSpec(n_classes=4, per_class=per_class,
+                                                  n_features=12, seed=0))
+            pool = make_pool(ds, 0.3, 20, 0)
+            peaks.append(peak_bytes(lambda: run_pool_loop(
+                pool, StrategyConfig(kind="entropy"), ForestParams(n_trees=4),
+                Oracle(ds), 10, StoppingCriteria(max_queries=10), 0)))
+        assert peaks[1] <= 4.5 * peaks[0]
+
     def test_invalid_inputs(self):
         ds = toy_dataset(30)
         pool = make_pool(ds, 0.3, 4, 0)

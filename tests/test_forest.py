@@ -139,6 +139,8 @@ class TestPredict:
                 regressor.predict_many(rows)
         with pytest.raises(DimensionMismatch):
             model.vote_counts(np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            fit_regression_forest(np.zeros(5), np.zeros(5), ForestParams(n_trees=1), 0)
 
 
 def reference_leaf(tree, x):
@@ -267,6 +269,16 @@ class TestFitForest:
         empty = Dataset(SCHEMA2, np.empty((0, 2)), np.empty(0, dtype=int))
         with pytest.raises(EmptyTrainingSet):
             fit_forest(empty, ForestParams(), 0)
+        with pytest.raises(EmptyTrainingSet):
+            fit_regression_forest(np.empty((0, 2)), np.empty(0), ForestParams(), 0)
+
+    def test_memory_grows_linearly_with_rows(self, peak_bytes):
+        peaks = []
+        for per_class in (500, 2000):
+            ds = generate_synthetic(SyntheticSpec(n_classes=4, per_class=per_class,
+                                                  n_features=12, seed=0))
+            peaks.append(peak_bytes(lambda: fit_forest(ds, ForestParams(n_trees=2), 0)))
+        assert peaks[1] <= 4.5 * peaks[0]
 
     def test_determinism(self):
         ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=30,

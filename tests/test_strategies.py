@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -189,7 +188,7 @@ class TestKlBlocks:
         permuted = blocked[2::4]
         assert np.array_equal(permuted, blocked[1::4][:permuted.size])
 
-    def test_committee_scoring_memory_is_one_stack_plus_a_block(self):
+    def test_committee_scoring_memory_is_one_stack_plus_a_block(self, peak_bytes):
         # 4 classes and 3 features: the (C, m, n) member array outweighs the
         # routed feature matrix, so whole-pool KL temporaries would dominate
         ds = generate_synthetic(SyntheticSpec(n_classes=4, per_class=6010,
@@ -201,13 +200,29 @@ class TestKlBlocks:
                                   ForestParams(n_trees=4), 0)
         assert len(pool.unlabeled) >= 20_000
         member_bytes = 5 * len(pool.unlabeled) * 4 * 8
-        tracemalloc.start()
-        try:
-            score_pool(StrategyConfig(kind="qbc_kl"), committee, pool)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(
+            lambda: score_pool(StrategyConfig(kind="qbc_kl"), committee, pool))
         assert peak < 2.5 * member_bytes
+
+
+@pytest.mark.parametrize("kind", ["entropy", "least_confidence", "margin",
+                                  "qbc_vote_entropy", "density", "lal"])
+def test_scoring_memory_grows_linearly_with_the_pool(peak_bytes, kind):
+    # qbc_kl's bound is in TestKlBlocks; unlabeled pools of 1,960 and 7,960 rows
+    ds = generate_synthetic(SyntheticSpec(n_classes=4, per_class=2000,
+                                          n_features=12, seed=0))
+    labeled = np.arange(40)
+    if kind == "qbc_vote_entropy":
+        state = fit_committee(ds.subset(labeled), 3, ForestParams(n_trees=4), 0)
+    else:
+        state = fit_forest(ds.subset(labeled), ForestParams(n_trees=4), 0)
+    regressor = train_lal_regressor(LalParams(
+        mc_rounds=2, regressor=ForestParams(n_trees=4))) if kind == "lal" else None
+    config = StrategyConfig(kind=kind)
+    pools = [PoolState(ds, labeled, np.arange(40, m), ()) for m in (2000, 8000)]
+    peaks = [peak_bytes(lambda: score_pool(config, state, pool, regressor))
+             for pool in pools]
+    assert peaks[1] <= 4.5 * peaks[0]
 
 
 def brute_force_density_factors(Z):
@@ -357,17 +372,11 @@ class TestInformationDensity:
         k = data.draw(st.integers(1, m))
         assert_reference_batch(select_batch(cfg, model, pool, k), reference)
 
-    def test_memory_stays_linear_in_pool_size(self):
+    def test_memory_stays_linear_in_pool_size(self, peak_bytes):
         # an (m, m) float64 similarity matrix alone would take 200 MB here
         Z = np.random.default_rng(3).normal(size=(5000, 12))
         base = np.ones(5000)
-        tracemalloc.start()
-        try:
-            information_density(base, Z, 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8_000_000
+        assert peak_bytes(lambda: information_density(base, Z, 1.0)) < 8_000_000
 
 
 def constant_lal_regressor(params, target):
