@@ -127,6 +127,8 @@ class ExperimentConfig:
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct")
         for f in self.fractions:
             if not 0 < f < 1:
                 raise ConfigError(f"fractions must lie in (0, 1), got {f}")

@@ -42,7 +42,6 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     holdout_split,
-    subset_size,
 )
 from .engine import (
     Oracle,
@@ -389,14 +388,11 @@ def _cmd_stream(args) -> int:
     seed = seeds[0]
     learner, stop, source = _learner(cfg), _stopping(cfg), _source(cfg, args.seed)
     test_fraction = cfg.get("test_fraction")
-    budget = cfg.get("stream.budget")
-    # checked before the load; the default budget, 15% of the stream, is
-    # filled in once the stream's length is known
     with _naming("stream", InvalidThreshold):
         stream_cfg = StreamConfig(
             measure=cfg.get("stream.measure"),
             threshold=cfg.get("stream.threshold"),
-            max_label_budget=0 if budget is None else budget,
+            max_label_budget=cfg.get("stream.budget"),
             seed_fraction=cfg.get("stream.seed_fraction"),
             retrain_every=cfg.get("stream.retrain_every"),
         )
@@ -404,9 +400,6 @@ def _cmd_stream(args) -> int:
     test_idx, rest = holdout_split(len(dataset), test_fraction, seed)
     # the stream keeps dataset order, so a drift onset stays a stream position
     test, stream = dataset.subset(test_idx), dataset.subset(sorted(rest))
-    if budget is None:
-        stream_cfg = replace(stream_cfg,
-                             max_label_budget=subset_size(0.15, len(stream)))
     with _naming("oracle_noise", InvalidThreshold):
         oracle = Oracle(dataset=stream, noise_rate=cfg.get("oracle_noise"),
                         seed=seed)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    DatasetError,
     DimensionMismatch,
     EmptyDataset,
     InvalidPool,
@@ -230,10 +231,10 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
     """Read a UTF-8, comma-separated flow CSV with one header row, in one pass.
 
     Class indices follow first-appearance order among the rows kept.  Errors
-    name the 1-based physical line (the header is line 1) and the first bad
-    cell in feature order; cells are stripped, and a leading byte-order mark
-    is skipped.  Whole rows go onto one flat float buffer, so a skipped row
-    adds no class.  ``Dataset`` copies it: ingest peaks near 2x the matrix.
+    name the 1-based physical line (the header is line 1) and a blank label
+    or the first bad cell in feature order; cells are stripped, a leading
+    BOM skipped.  Rows go onto one flat float buffer, so a skipped row adds
+    no class.  ``Dataset`` copies it: ingest peaks near 2x the matrix.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -271,14 +272,16 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
                     )
                 continue
             values = [_number(cells[c].strip()) for c in cols]
-            if not all(map(math.isfinite, values)):
+            label = cells[label_col].strip()
+            if not label or not all(map(math.isfinite, values)):
+                if config.strict and not label:
+                    raise DatasetError(f"row {lineno}: blank {config.label_column!r} cell")
                 if config.strict:
                     j = next(j for j, v in enumerate(values) if not math.isfinite(v))
                     raise NonNumericValue(lineno, feature_names[j],
                                           cells[cols[j]].strip())
                 continue
             buf.extend(values)
-            label = cells[label_col].strip()
             labels.append(class_index.setdefault(label, len(class_index)))
 
     if not labels:

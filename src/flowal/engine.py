@@ -171,11 +171,10 @@ class RunHistory:
     iterations: List[IterationRecord]
     stop_reason: StopReason
 
-    def accuracies(self) -> List[float]:
-        return [it.accuracy for it in self.iterations]
-
     def total_queries(self) -> int:
-        return sum(len(it.queried) for it in self.iterations)
+        """Labels queried: the labeled set's growth, the sum of every batch."""
+        first, last = self.iterations[0], self.iterations[-1]
+        return last.n_labeled - first.n_labeled + len(first.queried)
 
     @property
     def final_accuracy(self) -> float:
@@ -199,13 +198,13 @@ def cap_queries(stop: Optional[StoppingCriteria], budget: int) -> StoppingCriter
 
 def check_stop(stop: StoppingCriteria, history: RunHistory,
                elapsed_seconds: float) -> Optional[StopReason]:
-    """First stopping criterion that fires, or None."""
-    accs = history.accuracies()
-    if (stop.accuracy_threshold is not None and accs
-            and accs[-1] >= stop.accuracy_threshold):
+    """First stopping criterion that fires, or None; reads recent records only."""
+    its = history.iterations
+    if (stop.accuracy_threshold is not None and its
+            and its[-1].accuracy >= stop.accuracy_threshold):
         return StopReason.ACCURACY_THRESHOLD
-    if stop.stabilization is not None and len(accs) >= stop.stabilization.window:
-        tail = accs[-stop.stabilization.window:]
+    if stop.stabilization is not None and len(its) >= stop.stabilization.window:
+        tail = [it.accuracy for it in its[-stop.stabilization.window:]]
         if max(tail) - min(tail) <= stop.stabilization.epsilon:
             return StopReason.STABILIZATION
     if stop.max_queries is not None and history.total_queries() >= stop.max_queries:
@@ -322,13 +321,14 @@ class StreamConfig:
     An arriving instance is queried when its uncertainty measure reaches
     ``threshold`` (margin, which shrinks with uncertainty, is compared with
     <= instead) and the label budget, ``max_label_budget`` queries after the
-    seed prefix, has room; everything else is discarded permanently.  The
-    model refits after every ``retrain_every`` queries.
+    seed prefix (None: 15% of the stream, half up), has room; everything
+    else is discarded permanently.  The model refits after every
+    ``retrain_every`` queries.
     """
 
     measure: str = "entropy"
     threshold: float = 0.5
-    max_label_budget: int = 0
+    max_label_budget: Optional[int] = None
     seed_fraction: float = 0.01
     retrain_every: int = 10
 
@@ -337,7 +337,7 @@ class StreamConfig:
             raise InvalidThreshold(f"unknown stream measure {self.measure!r}")
         if self.threshold < 0:
             raise InvalidThreshold("threshold must be >= 0")
-        if self.max_label_budget < 0:
+        if self.max_label_budget is not None and self.max_label_budget < 0:
             raise InvalidThreshold("max_label_budget must be >= 0")
         if not 0 < self.seed_fraction < 1:
             raise InvalidThreshold("seed_fraction must be in (0, 1)")
@@ -364,7 +364,8 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     if n == 0:
         raise EmptyStream("stream has no records")
     clock = clock or time.perf_counter
-    stop = cap_queries(stop, config.max_label_budget)
+    budget = config.max_label_budget
+    stop = cap_queries(stop, subset_size(0.15, n) if budget is None else budget)
     n_seed = max(1, subset_size(config.seed_fraction, n))
     labeled = list(range(n_seed))
     labels = [oracle_label(oracle, i) for i in labeled]

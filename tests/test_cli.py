@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -8,14 +9,20 @@ import pytest
 import flowal.cli
 from flowal import (
     DriftSpec,
+    ExperimentConfig,
     ExperimentRow,
     ForestParams,
+    IngestionConfig,
+    LalParams,
+    Stabilization,
+    StoppingCriteria,
+    StrategyConfig,
+    StreamConfig,
     SyntheticSpec,
     generate_synthetic,
-    subset_size,
 )
 from flowal.bench import rows_to_json
-from flowal.cli import cli_main, parse_config_text
+from flowal.cli import KEYS, cli_main, parse_config_text
 from flowal.errors import ConfigError, EmptyPool, InvalidPool, MissingColumn
 
 SYNTH_CONFIG = """
@@ -79,6 +86,61 @@ class TestConfigParsing:
         path.write_text("\ufeff" + SYNTH_CONFIG.lstrip(), encoding="utf-8")
         assert cli_main(["generate", "--config", str(path), "--quiet",
                          "--output", str(tmp_path / "flows.csv")]) == 0
+
+
+def test_key_defaults_are_the_library_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    ingestion = IngestionConfig(label_column="label")
+    synthetic = SyntheticSpec(n_classes=2, per_class=1, n_features=1)
+    strategy = StrategyConfig(kind="entropy")
+    lal, learner, stream = LalParams(), ForestParams(), StreamConfig()
+    stop = {f.name: f.default for f in dataclasses.fields(StoppingCriteria)}
+    library = {
+        "data.features": ingestion.feature_columns,
+        "data.strict": ingestion.strict,
+        "synthetic.separation": synthetic.class_mean_separation,
+        "synthetic.noise": synthetic.noise_stddev,
+        "synthetic.seed": synthetic.seed,
+        "test_fraction": defaults["test_fraction"],
+        "fractions": defaults["fractions"],
+        "batch": defaults["batch"],
+        "seed_size": defaults["seed_size"],
+        "include_full_baseline": defaults["include_full_baseline"],
+        "oracle_noise": defaults["oracle_noise"],
+        # the experiment's learner, not a bare ForestParams(), is the default
+        "learner.trees": defaults["learner"].n_trees,
+        "strategy.seed": strategy.seed,
+        "qbc.committee_size": strategy.committee_size,
+        "density.beta": strategy.beta,
+        "density.base": strategy.base_informativeness,
+        "lal.mc_rounds": lal.mc_rounds,
+        "lal.trees": lal.regressor.n_trees,
+        "lal.seed": lal.seed,
+        "learner.max_depth": learner.max_depth,
+        "learner.min_samples_split": learner.min_samples_split,
+        "learner.features_per_split": learner.features_per_split,
+        "learner.bootstrap": learner.bootstrap,
+        "stop.accuracy": stop["accuracy_threshold"],
+        "stop.max_queries": stop["max_queries"],
+        "stop.time_budget": stop["time_budget"],
+        "stream.measure": stream.measure,
+        "stream.threshold": stream.threshold,
+        "stream.budget": stream.max_label_budget,
+        "stream.seed_fraction": stream.seed_fraction,
+        "stream.retrain_every": stream.retrain_every,
+    }
+    # keys that feed a required field, or no library field at all
+    no_library_default = {
+        "data.csv", "data.label_column", "synthetic.classes",
+        "synthetic.per_class", "synthetic.features", "synthetic.drift_onset",
+        "synthetic.drift_shift", "seeds", "strategies", "stop.window",
+        "stop.epsilon", "output", "format"}
+    assert set(library) | no_library_default == set(KEYS)
+    assert not set(library) & no_library_default
+    config = flowal.cli._Config({})
+    parsed = {key: config.get(key) for key in library}
+    parsed["fractions"] = tuple(parsed["fractions"])
+    assert parsed == library
 
 
 class TestUsageErrors:
@@ -178,6 +240,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "config error: seeds must be non-empty" in err
         assert "Traceback" not in err
+
+    def test_repeated_seeds_exit_1_before_any_work(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(flowal.cli, "run_experiment", spy)
+        cfg = write_config(tmp_path,
+                           SYNTH_CONFIG.replace("seeds = 0,1", "seeds = 0,0,1"))
+        assert cli_main(["run", "--config", cfg,
+                         "--output", str(tmp_path / "r.csv"), "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            "config error: seeds must be distinct\n"
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--config", "g.conf", "--output", "o.csv", "--format", "md"],
@@ -450,19 +525,56 @@ stream.budget = 10
         seen = {}
 
         def capture(stream, test, config, learner, oracle, stop, seed):
-            seen.update(n=len(stream), config=config, learner=learner,
-                        stop=stop)
+            seen.update(config=config, learner=learner, stop=stop)
             return run_stream_loop(stream, test, config, learner, oracle,
                                    stop, seed)
 
         monkeypatch.setattr(flowal.cli, "run_stream_loop", capture)
         assert cli_main(["stream", "--config", cfg, "--quiet",
                          "--output", str(tmp_path / "h.csv")]) == 0
-        # the loop gets the user's criteria (none are set) and folds the
-        # budget in itself
-        assert seen["config"].max_label_budget == subset_size(0.15, seen["n"]) == 38
+        # the loop gets the user's criteria (none are set) and the unset
+        # budget, and fills in and folds in the budget itself
+        assert seen["config"].max_label_budget is None
         assert seen["stop"] is None
         assert seen["learner"] == ForestParams(n_trees=6, bootstrap=False)
+
+    @pytest.mark.parametrize("setting, reached", [pytest.param(
+        setting, reached, id=setting.split(" =")[0]) for setting, reached in [
+        ("data.strict = false", lambda c: c.source.ingestion.strict is False),
+        ("seed_size = 7", lambda c: c.seed_size == 7),
+        ("strategy.seed = 3", lambda c: [s.seed for s in c.strategies] == [3, 3]),
+        ("lal.seed = 4",
+         lambda c: [s.lal_params.seed for s in c.strategies] == [4, 4]),
+        ("learner.min_samples_split = 5",
+         lambda c: c.learner.min_samples_split == 5),
+        ("learner.features_per_split = 2",
+         lambda c: c.learner.features_per_split == 2),
+        ("stop.window = 3\nstop.epsilon = 0.01",
+         lambda c: c.stop == StoppingCriteria(stabilization=Stabilization(3, 0.01))),
+        ("output = report.csv", None),
+    ]])
+    def test_config_key_reaches_its_field(self, tmp_path, monkeypatch, setting,
+                                          reached):
+        # the csv is never read: run_experiment is replaced by a capture
+        cfg = write_config(tmp_path, "data.csv = flows.csv\n"
+                           "data.label_column = label\n" + setting + "\n")
+        seen = {}
+
+        def capture(config):
+            seen["config"] = config
+            return [ExperimentRow("entropy", 0.1, 0, 1.0, 0.9, 0.95, 0.5,
+                                  0.95, 0.8, 0.2, 2.0)]
+
+        monkeypatch.setattr(flowal.cli, "run_experiment", capture)
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--config", cfg, "--quiet"]
+        if reached is None:  # the output key alone places the report
+            assert cli_main(argv) == 0
+            assert (tmp_path / "report.csv").read_text(encoding="utf-8") \
+                .startswith("strategy,")
+        else:
+            assert cli_main(argv + ["--output", "r.csv"]) == 0
+            assert reached(seen["config"])
 
     @pytest.mark.parametrize("stop", ["", "stop.accuracy = 0.9999",
                                       "stop.time_budget = 1000"])

@@ -19,6 +19,7 @@ from flowal import (
     subset_size,
 )
 from flowal.errors import (
+    DatasetError,
     DimensionMismatch,
     EmptyDataset,
     InvalidPool,
@@ -115,6 +116,19 @@ class TestLoadCsv:
         ds = load_csv(path, IngestionConfig(label_column="label", strict=False))
         assert len(ds) == 2
         assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_label_rejected_when_strict(self, tmp_path, blank):
+        path = write(tmp_path, f"a,b,class\n1,2,x\n3,4,{blank}\n5,6,y\n")
+        with pytest.raises(DatasetError, match=r"^row 3: blank 'class' cell$"):
+            load_csv(path, IngestionConfig(label_column="class"))
+
+    def test_blank_label_row_skipped_when_not_strict(self, tmp_path):
+        path = write(tmp_path, "a,b,label\n1,2,x\n3,4,\n5,6,y\n7,8,  \n")
+        ds = load_csv(path, IngestionConfig(label_column="label", strict=False))
+        assert ds.schema.class_names == ("x", "y")
+        assert ds.labels.tolist() == [0, 1]
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [5.0, 6.0]])
 
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,x\n1,2\n3,4,y\n")

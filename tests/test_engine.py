@@ -11,6 +11,7 @@ from flowal import (
     FeatureSchema,
     ForestParams,
     IterationRecord,
+    LalParams,
     Oracle,
     PoolState,
     RunHistory,
@@ -38,7 +39,7 @@ from flowal.errors import (
     NoStoppingCriterion,
 )
 from flowal.rng import derive_seed, make_rng
-from flowal.strategies import uncertainty_scores
+from flowal.strategies import STRATEGY_KINDS, uncertainty_scores
 
 
 class FakeClock:
@@ -514,6 +515,15 @@ class TestStreamLoop:
             wins += history.final_accuracy > frozen_acc
         assert wins >= 8
 
+    def test_default_budget_is_15_percent_of_the_stream(self):
+        stream, test = stream_pair(1)
+        history = run_stream_loop(stream, test,
+                                  StreamConfig(threshold=0.0, seed_fraction=0.05),
+                                  ForestParams(n_trees=3), Oracle(stream, 0.0, 1),
+                                  None, 1)
+        assert history.total_queries() == subset_size(0.15, len(stream)) == 32
+        assert history.stop_reason == StopReason.MAX_QUERIES
+
     def test_empty_stream(self):
         schema = FeatureSchema(("a",), ("x", "y"))
         empty = Dataset(schema, np.empty((0, 1)), np.empty(0, dtype=int))
@@ -550,3 +560,56 @@ class TestStreamLoop:
             StreamConfig(measure="bogus")
         with pytest.raises(InvalidThreshold):
             StreamConfig(max_label_budget=-1)
+
+
+def batch_sum(history):
+    """The reference count: every record's batch, summed."""
+    return sum(len(it.queried) for it in history.iterations)
+
+
+class TestTotalQueries:
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_pool_loop_histories(self, kind):
+        ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=40,
+                                              n_features=3, seed=0))
+        pool = make_pool(ds, 0.25, 10, 0)
+        lal = LalParams(mc_rounds=2, regressor=ForestParams(n_trees=4))
+        strategy = StrategyConfig(kind=kind, committee_size=3, lal_params=lal)
+        # a ragged last batch under a cap, then one that empties the pool
+        for stop, batch in [(StoppingCriteria(max_queries=23), 5),
+                            (StoppingCriteria(max_queries=10 ** 9), 30)]:
+            history = run_pool_loop(pool, strategy, ForestParams(n_trees=4),
+                                    Oracle(ds, 0.0, 0), batch, stop, 0)
+            assert history.total_queries() == batch_sum(history) > 0
+
+    @pytest.mark.parametrize("cfg", [
+        StreamConfig(threshold=0.0, seed_fraction=0.05),
+        StreamConfig(threshold=0.3, seed_fraction=0.05, retrain_every=7),
+        StreamConfig(measure="margin", threshold=0.5, max_label_budget=50,
+                     seed_fraction=0.05, retrain_every=4),
+    ])
+    def test_stream_loop_histories(self, cfg):
+        stream, test = stream_pair(2)
+        history = run_stream_loop(stream, test, cfg, ForestParams(n_trees=4),
+                                  Oracle(stream, 0.0, 2), None, 2)
+        assert history.total_queries() == batch_sum(history) > 0
+
+    @pytest.mark.parametrize("accuracies, counts", [
+        ([0.9, 0.96], None), ([0.5], [3]), ([0.1, 0.2], [5, 5]), ([0.1], [5]),
+        ([0.4, 0.5, 0.6, 0.7], [0, 10, 10, 3]),
+    ])
+    def test_hand_built_histories(self, accuracies, counts):
+        history = history_of(accuracies, counts)
+        assert history.total_queries() == batch_sum(history)
+
+    def test_stop_checks_read_only_the_newest_records(self):
+        class NoFullScan(list):
+            def __iter__(self):
+                raise AssertionError("the whole history was read")
+
+        history = history_of([0.5, 0.6] * 50, [1] * 100)
+        history.iterations = NoFullScan(history.iterations)
+        stop = StoppingCriteria(accuracy_threshold=0.99, max_queries=1000,
+                                stabilization=Stabilization(4, 0.01))
+        assert check_stop(stop, history, 0.0) is None
+        assert history.total_queries() == 100
