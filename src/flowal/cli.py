@@ -8,9 +8,11 @@ Subcommands:
   report    re-render saved json rows into csv / json / md
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.  KEYS
-gives every recognized key its parser and its default (README documents
-them); unknown keys are rejected so a typo can never silently change an
-experiment.  A value is parsed when a command reads it.
+gives every recognized key its parser, its default (README documents them)
+and the library field that takes its value; unknown keys are rejected so a
+typo can never silently change an experiment.  Command-line flags are
+written into the config before any key is read, and a value is parsed when
+a command reads it.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 runtime
 failure.
@@ -94,59 +96,61 @@ _NUMBERS = (lambda raw: [_finite(x) for x in _items(raw)],
 _SQRT_OR_INT = (lambda raw: raw if raw == "sqrt" else int(raw),
                 "'sqrt' or an integer")
 
-# key: (parser, default text); None means unset
+# key: (parser, default text, library field).  A None default means unset;
+# a None field means a builder reads the key itself, because its value does
+# not go as is into one field of its section's library object
 KEYS = {
     # data source: csv
-    "data.csv": (_TEXT, None),
-    "data.label_column": (_TEXT, None),
-    "data.features": (_NAMES, None),
-    "data.strict": (_BOOL, "true"),
+    "data.csv": (_TEXT, None, None),
+    "data.label_column": (_TEXT, None, "label_column"),
+    "data.features": (_NAMES, None, "feature_columns"),
+    "data.strict": (_BOOL, "true", "strict"),
     # data source: synthetic
-    "synthetic.classes": (_INT, None),
-    "synthetic.per_class": (_INT, None),
-    "synthetic.features": (_INT, None),
-    "synthetic.separation": (_NUMBER, "6.0"),
-    "synthetic.noise": (_NUMBER, "1.0"),
-    "synthetic.seed": (_INT, "0"),
-    "synthetic.drift_onset": (_INT, None),
-    "synthetic.drift_shift": (_NUMBERS, None),
+    "synthetic.classes": (_INT, None, "n_classes"),
+    "synthetic.per_class": (_INT, None, "per_class"),
+    "synthetic.features": (_INT, None, "n_features"),
+    "synthetic.separation": (_NUMBER, "6.0", "class_mean_separation"),
+    "synthetic.noise": (_NUMBER, "1.0", "noise_stddev"),
+    "synthetic.seed": (_INT, "0", "seed"),
+    "synthetic.drift_onset": (_INT, None, None),
+    "synthetic.drift_shift": (_NUMBERS, None, None),
     # experiment
-    "test_fraction": (_NUMBER, "0.3"),
-    "fractions": (_NUMBERS, "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64"),
-    "seeds": (_INTS, "0"),
-    "batch": (_INT, "10"),
-    "seed_size": (_INT, None),
-    "include_full_baseline": (_BOOL, "true"),
-    "oracle_noise": (_NUMBER, "0.0"),
-    "strategies": (_NAMES, "entropy,random"),
-    "strategy.seed": (_INT, "0"),
-    "qbc.committee_size": (_INT, "5"),
-    "density.beta": (_NUMBER, "1.0"),
-    "density.base": (_TEXT, "entropy"),
-    "lal.mc_rounds": (_INT, "40"),
-    "lal.trees": (_INT, "40"),
-    "lal.seed": (_INT, "0"),
+    "test_fraction": (_NUMBER, "0.3", "test_fraction"),
+    "fractions": (_NUMBERS, "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64", "fractions"),
+    "seeds": (_INTS, "0", "seeds"),
+    "batch": (_INT, "10", "batch"),
+    "seed_size": (_INT, None, "seed_size"),
+    "include_full_baseline": (_BOOL, "true", "include_full_baseline"),
+    "oracle_noise": (_NUMBER, "0.0", "oracle_noise"),
+    "strategies": (_NAMES, "entropy,random", None),
+    "strategy.seed": (_INT, "0", "seed"),
+    "qbc.committee_size": (_INT, "5", "committee_size"),
+    "density.beta": (_NUMBER, "1.0", "beta"),
+    "density.base": (_TEXT, "entropy", "base_informativeness"),
+    "lal.mc_rounds": (_INT, "40", "mc_rounds"),
+    "lal.trees": (_INT, "40", None),
+    "lal.seed": (_INT, "0", "seed"),
     # learner
-    "learner.trees": (_INT, "50"),
-    "learner.max_depth": (_INT, None),
-    "learner.min_samples_split": (_INT, "2"),
-    "learner.features_per_split": (_SQRT_OR_INT, "sqrt"),
-    "learner.bootstrap": (_BOOL, "true"),
+    "learner.trees": (_INT, "50", "n_trees"),
+    "learner.max_depth": (_INT, None, "max_depth"),
+    "learner.min_samples_split": (_INT, "2", "min_samples_split"),
+    "learner.features_per_split": (_SQRT_OR_INT, "sqrt", "features_per_split"),
+    "learner.bootstrap": (_BOOL, "true", "bootstrap"),
     # stopping
-    "stop.accuracy": (_NUMBER, None),
-    "stop.max_queries": (_INT, None),
-    "stop.time_budget": (_NUMBER, None),
-    "stop.window": (_INT, None),
-    "stop.epsilon": (_NUMBER, None),
+    "stop.accuracy": (_NUMBER, None, "accuracy_threshold"),
+    "stop.max_queries": (_INT, None, "max_queries"),
+    "stop.time_budget": (_NUMBER, None, "time_budget"),
+    "stop.window": (_INT, None, None),
+    "stop.epsilon": (_NUMBER, None, None),
     # stream
-    "stream.measure": (_TEXT, "entropy"),
-    "stream.threshold": (_NUMBER, "0.5"),
-    "stream.budget": (_INT, None),
-    "stream.seed_fraction": (_NUMBER, "0.01"),
-    "stream.retrain_every": (_INT, "10"),
+    "stream.measure": (_TEXT, "entropy", "measure"),
+    "stream.threshold": (_NUMBER, "0.5", "threshold"),
+    "stream.budget": (_INT, None, "max_label_budget"),
+    "stream.seed_fraction": (_NUMBER, "0.01", "seed_fraction"),
+    "stream.retrain_every": (_INT, "10", "retrain_every"),
     # output
-    "output": (_TEXT, None),
-    "format": (_TEXT, "csv"),
+    "output": (_TEXT, None, None),
+    "format": (_TEXT, "csv", None),
 }
 
 
@@ -187,7 +191,7 @@ class _Config:
 
     def get(self, key: str):
         """``key``'s value through its KEYS parser, or None when unset."""
-        (parse, what), default = KEYS[key]
+        (parse, what), default, _ = KEYS[key]
         raw = self.values.get(key, default)
         if raw is None:
             return None
@@ -198,6 +202,14 @@ class _Config:
 
     def has(self, key: str) -> bool:
         return self.values.get(key, KEYS[key][1]) is not None
+
+    def fields(self, section: str) -> dict:
+        """Parsed values of ``section``'s keys, keyed by their library field.
+
+        Keys without a field are left out; section "" holds undotted keys.
+        """
+        return {field: self.get(key) for key, (_, _, field) in KEYS.items()
+                if field is not None and key.rpartition(".")[0] == section}
 
 
 def _load_config(path: Optional[str]) -> _Config:
@@ -210,27 +222,25 @@ def _load_config(path: Optional[str]) -> _Config:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _resolve(args):
-    """Load a command's config and decide its seeds, output path and format.
+def _resolve(args) -> _Config:
+    """Load a command's config, write its flags into it, check its output.
 
-    Runs before any data is loaded.  A flag beats its config key, which
-    beats the KEYS default.  Seeds and format are None for a command
-    without those flags; ``report`` reads no config.
+    Runs before any key is read, so a flag beats its config key, which
+    beats the KEYS default; an empty flag counts as unset.  ``--seed S``
+    sets both ``seeds`` and ``synthetic.seed``.  ``report`` reads no config.
     """
     cfg = _load_config(args.config) if "config" in args else _Config({})
-    seeds = None
-    if "seed" in args:
-        seeds = cfg.get("seeds") if args.seed is None else [args.seed]
-        if not seeds:
-            raise ConfigError("seeds must be non-empty")
-    output = args.output or cfg.get("output")
-    if output is None:
+    if getattr(args, "seed", None) is not None:
+        cfg.values["seeds"] = cfg.values["synthetic.seed"] = str(args.seed)
+    for key in ("output", "format"):
+        if getattr(args, key, None):
+            cfg.values[key] = getattr(args, key)
+    if not cfg.has("output"):
         raise ConfigError(f"{args.command} needs an output path "
                           f"(--output or config 'output')")
-    fmt = None
     if "format" in args:
-        fmt = check_format(args.format or cfg.get("format"))
-    return cfg, seeds, output, fmt
+        check_format(cfg.get("format"))
+    return cfg
 
 
 @contextmanager
@@ -246,7 +256,7 @@ def _naming(section: str, errors):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _synthetic_spec(cfg: _Config, seed_override: Optional[int]) -> SyntheticSpec:
+def _synthetic_spec(cfg: _Config) -> SyntheticSpec:
     for key in ("synthetic.classes", "synthetic.per_class", "synthetic.features"):
         if not cfg.has(key):
             raise ConfigError(f"synthetic source needs {key}")
@@ -259,20 +269,11 @@ def _synthetic_spec(cfg: _Config, seed_override: Optional[int]) -> SyntheticSpec
                 "drift needs both synthetic.drift_onset and synthetic.drift_shift")
         drift = DriftSpec(onset_index=onset,
                           mean_shift=shift[0] if len(shift) == 1 else shift)
-    seed = seed_override if seed_override is not None else cfg.get("synthetic.seed")
     with _naming("synthetic", InvalidSpec):
-        return SyntheticSpec(
-            n_classes=cfg.get("synthetic.classes"),
-            per_class=cfg.get("synthetic.per_class"),
-            n_features=cfg.get("synthetic.features"),
-            class_mean_separation=cfg.get("synthetic.separation"),
-            noise_stddev=cfg.get("synthetic.noise"),
-            drift=drift,
-            seed=seed,
-        )
+        return SyntheticSpec(drift=drift, **cfg.fields("synthetic"))
 
 
-def _source(cfg: _Config, seed_override: Optional[int]):
+def _source(cfg: _Config):
     has_csv = cfg.has("data.csv")
     has_synth = cfg.has("synthetic.classes")
     if has_csv == has_synth:
@@ -280,56 +281,38 @@ def _source(cfg: _Config, seed_override: Optional[int]):
     if has_csv:
         if not cfg.has("data.label_column"):
             raise ConfigError("data.csv needs data.label_column")
-        ingestion = IngestionConfig(
-            label_column=cfg.get("data.label_column"),
-            feature_columns=cfg.get("data.features"),
-            strict=cfg.get("data.strict"),
-        )
-        return CsvSource(cfg.get("data.csv"), ingestion)
-    return _synthetic_spec(cfg, seed_override)
+        return CsvSource(cfg.get("data.csv"), IngestionConfig(**cfg.fields("data")))
+    return _synthetic_spec(cfg)
 
 
 def _learner(cfg: _Config) -> ForestParams:
-    with _naming("learner", ValueError):
-        return ForestParams(
-            n_trees=cfg.get("learner.trees"),
-            max_depth=cfg.get("learner.max_depth"),
-            min_samples_split=cfg.get("learner.min_samples_split"),
-            features_per_split=cfg.get("learner.features_per_split"),
-            bootstrap=cfg.get("learner.bootstrap"),
-        )
+    with _naming("learner", InvalidParams):
+        return ForestParams(**cfg.fields("learner"))
 
 
 def _strategies(cfg: _Config) -> List[StrategyConfig]:
     kinds = cfg.get("strategies")
     if not kinds:
         raise ConfigError("strategies must name at least one strategy")
-    with _naming("lal", (ValueError, InvalidParams)):
-        lal = LalParams(
-            mc_rounds=cfg.get("lal.mc_rounds"),
-            regressor=ForestParams(n_trees=cfg.get("lal.trees")),
-            seed=cfg.get("lal.seed"),
-        )
+    with _naming("lal", InvalidParams):
+        lal = LalParams(regressor=ForestParams(n_trees=cfg.get("lal.trees")),
+                        **cfg.fields("lal"))
     configs = []
     for kind in kinds:
         # each step sets one section's values on a config the steps before
         # accepted, so a rejection is that section's
         with _naming("strategies", InvalidParams):
             config = StrategyConfig(kind=kind, lal_params=lal,
-                                    seed=cfg.get("strategy.seed"))
+                                    **cfg.fields("strategy"))
         with _naming("density", InvalidParams):
-            config = replace(config, beta=cfg.get("density.beta"),
-                             base_informativeness=cfg.get("density.base"))
+            config = replace(config, **cfg.fields("density"))
         with _naming("qbc", InvalidParams):
-            configs.append(replace(
-                config, committee_size=cfg.get("qbc.committee_size")))
+            configs.append(replace(config, **cfg.fields("qbc")))
     return configs
 
 
 def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
-    acc = cfg.get("stop.accuracy")
-    mq = cfg.get("stop.max_queries")
-    tb = cfg.get("stop.time_budget")
+    criteria = cfg.fields("stop")
     window = cfg.get("stop.window")
     eps = cfg.get("stop.epsilon")
     stab = None
@@ -337,41 +320,31 @@ def _stopping(cfg: _Config) -> Optional[StoppingCriteria]:
         if window is None or eps is None:
             raise ConfigError("stabilization needs both stop.window and stop.epsilon")
         stab = Stabilization(window=window, epsilon=eps)
-    if acc is None and mq is None and tb is None and stab is None:
+    if stab is None and all(value is None for value in criteria.values()):
         return None
     with _naming("stop", NoStoppingCriterion):
-        return StoppingCriteria(accuracy_threshold=acc, max_queries=mq,
-                                time_budget=tb, stabilization=stab)
+        return StoppingCriteria(stabilization=stab, **criteria)
 
 
-def _experiment_config(cfg: _Config, seeds: List[int],
-                       seed_override: Optional[int]) -> ExperimentConfig:
-    return ExperimentConfig(
-        source=_source(cfg, seed_override),
-        strategies=tuple(_strategies(cfg)),
-        seeds=tuple(seeds),
-        learner=_learner(cfg),
-        test_fraction=cfg.get("test_fraction"),
-        fractions=tuple(cfg.get("fractions")),
-        include_full_baseline=cfg.get("include_full_baseline"),
-        stop=_stopping(cfg),
-        batch=cfg.get("batch"),
-        seed_size=cfg.get("seed_size"),
-        oracle_noise=cfg.get("oracle_noise"),
-    )
+def _experiment_config(cfg: _Config) -> ExperimentConfig:
+    return ExperimentConfig(source=_source(cfg), strategies=_strategies(cfg),
+                            learner=_learner(cfg), stop=_stopping(cfg),
+                            **cfg.fields(""))
 
 
 def _cmd_run(args) -> int:
-    cfg, seeds, output, fmt = _resolve(args)
-    rows = run_experiment(_experiment_config(cfg, seeds, args.seed))
-    emit_report(rows, fmt, output)
+    cfg = _resolve(args)
+    rows = run_experiment(_experiment_config(cfg))
+    output = cfg.get("output")
+    emit_report(rows, cfg.get("format"), output)
     _info(args, f"wrote {len(rows)} rows to {output}")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    cfg, _, output, _ = _resolve(args)
-    dataset = generate_synthetic(_synthetic_spec(cfg, args.synthetic_seed))
+    cfg = _resolve(args)
+    dataset = generate_synthetic(_synthetic_spec(cfg))
+    output = cfg.get("output")
     with open(output, "w", encoding="utf-8", newline="") as fh:
         write_csv(fh, [*dataset.schema.feature_names, "label"],
                   ([*x.tolist(), dataset.schema.class_names[y]]
@@ -381,21 +354,18 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    cfg, seeds, output, fmt = _resolve(args)
+    cfg = _resolve(args)
+    seeds = cfg.get("seeds")
+    if not seeds:
+        raise ConfigError("seeds must be non-empty")
     if len(seeds) > 1:
         raise ConfigError(f"stream takes exactly one seed, got seeds = "
                           f"{','.join(map(str, seeds))}")
     seed = seeds[0]
-    learner, stop, source = _learner(cfg), _stopping(cfg), _source(cfg, args.seed)
+    learner, stop, source = _learner(cfg), _stopping(cfg), _source(cfg)
     test_fraction = cfg.get("test_fraction")
     with _naming("stream", InvalidThreshold):
-        stream_cfg = StreamConfig(
-            measure=cfg.get("stream.measure"),
-            threshold=cfg.get("stream.threshold"),
-            max_label_budget=cfg.get("stream.budget"),
-            seed_fraction=cfg.get("stream.seed_fraction"),
-            retrain_every=cfg.get("stream.retrain_every"),
-        )
+        stream_cfg = StreamConfig(**cfg.fields("stream"))
     dataset = load_source(source)
     test_idx, rest = holdout_split(len(dataset), test_fraction, seed)
     # the stream keeps dataset order, so a drift onset stays a stream position
@@ -405,7 +375,8 @@ def _cmd_stream(args) -> int:
                         seed=seed)
     history = run_stream_loop(stream, test, stream_cfg, learner, oracle,
                               stop, seed)
-    emit_history(history, fmt, output)
+    output = cfg.get("output")
+    emit_history(history, cfg.get("format"), output)
     _info(args, f"stream stopped: {history.stop_reason.value}; "
                 f"final accuracy {history.final_accuracy:.4f}; "
                 f"wrote {output}")
@@ -413,9 +384,10 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _, _, output, fmt = _resolve(args)
+    cfg = _resolve(args)
     rows = load_rows(args.input)
-    emit_report(rows, fmt, output)
+    output = cfg.get("output")
+    emit_report(rows, cfg.get("format"), output)
     _info(args, f"re-rendered {len(rows)} rows to {output}")
     return 0
 
@@ -436,15 +408,11 @@ def _build_parser() -> _Parser:
     report.add_argument("input", help="json report produced by 'run --format json'")
     for p in (run, stream, generate):
         p.add_argument("--config", help="path to a flat key=value config file")
-    for p in (run, stream):
         p.add_argument("--seed", type=int,
-                       help="replace the config seeds (and synthetic.seed) "
-                            "with a single seed")
+                       help="set seeds and synthetic.seed to this one seed")
         p.add_argument("--output", help="output file path (config 'output')")
+    for p in (run, stream):
         p.add_argument("--format", help="csv, json or md (config 'format')")
-    generate.add_argument("--seed", type=int, dest="synthetic_seed",
-                          help="replace synthetic.seed")
-    generate.add_argument("--output", help="output file path (config 'output')")
     report.add_argument("--output", required=True, help="output file path")
     report.add_argument("--format", default="md", help="csv, json or md (default md)")
     for p in (run, stream, generate, report):

@@ -69,8 +69,9 @@ class Dataset:
     """Immutable ordered collection of flow records under one schema.
 
     Features are stored as one (n, d) float64 matrix and labels as an (n,)
-    int64 vector; both are marked read-only so datasets can be shared freely
-    across threads.
+    int64 vector; both are marked read-only so a dataset stays a pure value,
+    and what is computed from it a pure function of its inputs (README,
+    "Determinism").
     """
 
     def __init__(self, schema: FeatureSchema, features, labels):
@@ -233,8 +234,9 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
     Class indices follow first-appearance order among the rows kept.  Errors
     name the 1-based physical line (the header is line 1) and a blank label
     or the first bad cell in feature order; cells are stripped, a leading
-    BOM skipped.  Rows go onto one flat float buffer, so a skipped row adds
-    no class.  ``Dataset`` copies it: ingest peaks near 2x the matrix.
+    BOM skipped.  A column that is read must appear once in the header.
+    Rows go onto one flat float buffer, so a skipped row adds no class.
+    ``Dataset`` copies it: ingest peaks near 2x the matrix.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -256,6 +258,9 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
             feature_names = [h for h in header if h != config.label_column]
         if not feature_names:
             raise InvalidSchema("no feature columns remain after excluding the label")
+        for name in (config.label_column, *feature_names):
+            if header.count(name) > 1:
+                raise InvalidSchema(f"column {name!r} appears more than once in the header")
         cols = [header.index(name) for name in feature_names]
         label_col = header.index(config.label_column)
 

@@ -267,7 +267,8 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
     selected batch from unlabeled to labeled with oracle-provided labels.
     The first recorded iteration is the seed-model evaluation.  If the LAL
     regressor is not supplied it is trained inside the first selection and
-    billed as selection time.
+    billed as selection time.  ``oracle`` must be over ``pool.dataset``
+    itself, the same object.
     """
     if batch < 1:
         raise InvalidPool(f"batch must be >= 1, got {batch}")
@@ -275,6 +276,8 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
         raise InvalidPool("pool loop needs a non-empty test set")
     if not len(pool.labeled):
         raise InvalidPool("pool loop needs a non-empty seed labeled set")
+    if oracle.dataset is not pool.dataset:
+        raise InvalidPool("the oracle must label the pool's own dataset")
     clock = clock or time.perf_counter
     test_ds = pool.dataset.subset(pool.test)
     labeled = pool.labeled  # grows in query order, the order fits see
@@ -358,11 +361,14 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     if queries are pending.  A seed prefix whose oracle labels hold fewer
     than two classes is rejected before the first fit.  ``cap_queries``
     folds the label budget into ``stop``, which may be None.  ``test`` is a
-    held-out set used for the accuracy record and accuracy-based stopping.
+    held-out set used for the accuracy record and accuracy-based stopping;
+    ``oracle`` must be over ``stream`` itself, the same object.
     """
     n = len(stream)
     if n == 0:
         raise EmptyStream("stream has no records")
+    if oracle.dataset is not stream:
+        raise InvalidPool("the oracle must label the stream itself")
     clock = clock or time.perf_counter
     budget = config.max_label_budget
     stop = cap_queries(stop, subset_size(0.15, n) if budget is None else budget)

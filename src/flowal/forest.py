@@ -30,6 +30,7 @@ from .errors import (
     EmptyTrainingSet,
     InvalidCommitteeSize,
     InvalidDistribution,
+    InvalidParams,
     SchemaMismatch,
 )
 from .rng import derive_seed, make_rng
@@ -77,16 +78,16 @@ class ForestParams:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise InvalidParams("n_trees must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0 or None")
+            raise InvalidParams("max_depth must be >= 0 or None")
         if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+            raise InvalidParams("min_samples_split must be >= 2")
         if isinstance(self.features_per_split, str):
             if self.features_per_split != "sqrt":
-                raise ValueError("features_per_split must be 'sqrt' or an int")
+                raise InvalidParams("features_per_split must be 'sqrt' or an int")
         elif self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1")
+            raise InvalidParams("features_per_split must be >= 1")
 
     def resolve_features_per_split(self, n_features: int) -> int:
         if self.features_per_split == "sqrt":

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassOutOfRange, LengthMismatch, ZeroDenominator
+from .errors import (
+    ClassOutOfRange,
+    InvalidParams,
+    LengthMismatch,
+    ZeroDenominator,
+)
 
 
 def tar(acc_subset: float, acc_full: float) -> float:
@@ -36,7 +41,7 @@ class TimingRecord:
     def __post_init__(self):
         if min(self.subset_train_time, self.subset_selection_time,
                self.full_train_time) < 0:
-            raise ValueError("timing values must be nonnegative")
+            raise InvalidParams("timing values must be nonnegative")
 
 
 def ttr(timing: TimingRecord) -> float:

@@ -321,6 +321,15 @@ class TestEmitReport:
                     "full_train_time_s", "lal_train_time_s", "tar", "ttr"):
             assert key in payload[0]
 
+    @pytest.mark.parametrize("payload, message", [
+        ("[]", "no report rows"), ("[1]", "malformed report row")])
+    def test_load_rows_rejects_no_rows_and_a_row_that_is_no_object(
+            self, tmp_path, payload, message):
+        path = tmp_path / "rows.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{path}: {message}"):
+            load_rows(path)
+
 
 ROWS_CSV = """\
 strategy,fraction,seed,time_s,accuracy,tar,ttr

@@ -653,3 +653,48 @@ stream.seed_fraction = 0.05
         test = positions(seen["test"])
         assert stream == sorted(stream) and len(set(stream)) == len(stream)
         assert sorted(stream + test) == list(range(len(data)))
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag", [[], ["--seed", "5"]])
+    def test_generate_reads_no_seeds_key(self, tmp_path, flag):
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG, "seeds = ,"))
+        out = tmp_path / "flows.csv"
+        assert cli_main(["generate", "--config", cfg, "--output", str(out),
+                         "--quiet", *flag]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 360
+
+    def test_seed_flag_sets_the_synthetic_seed(self, tmp_path):
+        flagged, keyed = tmp_path / "flagged.csv", tmp_path / "keyed.csv"
+        cfg = write_config(tmp_path, SYNTH_CONFIG)
+        assert cli_main(["generate", "--config", cfg, "--seed", "5",
+                         "--output", str(flagged), "--quiet"]) == 0
+        cfg = write_config(tmp_path, with_settings(SYNTH_CONFIG,
+                                                   "synthetic.seed = 5"))
+        assert cli_main(["generate", "--config", cfg, "--output", str(keyed),
+                         "--quiet"]) == 0
+        assert flagged.read_bytes() == keyed.read_bytes()
+
+    @pytest.mark.parametrize("settings, name, start", [
+        ("output = report.json\nformat = json", "report.json", "[\n"),
+        ("output = report.csv", "report.csv", "strategy,"),
+    ])
+    def test_empty_output_and_format_flags_are_unset(self, tmp_path,
+                                                     monkeypatch, settings,
+                                                     name, start):
+        cfg = write_config(tmp_path, "data.csv = flows.csv\n"
+                           "data.label_column = label\n" + settings + "\n")
+        monkeypatch.setattr(flowal.cli, "run_experiment", lambda config: [
+            ExperimentRow("entropy", 0.1, 0, 1.0, 0.9, 0.95, 0.5, 0.95, 0.8,
+                          0.2, 2.0)])
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", "--config", cfg, "--output", "",
+                         "--format", "", "--quiet"]) == 0
+        assert (tmp_path / name).read_text(encoding="utf-8").startswith(start)
+
+    def test_progress_line_without_quiet(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "synthetic.classes = 2\n"
+                           "synthetic.per_class = 5\nsynthetic.features = 2\n")
+        out = tmp_path / "flows.csv"
+        assert cli_main(["generate", "--config", cfg, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote 10 records to {out}\n"

@@ -130,6 +130,30 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1]
         np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [5.0, 6.0]])
 
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = write(tmp_path, "a,label\n1,x\n\n2,y\n")
+        ds = load_csv(path, IngestionConfig(label_column="label"))
+        np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
+        assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("text, features, column", [
+        ("a,label,b,label\n1,x,2,z\n3,y,4,w\n", None, "label"),
+        ("a,a,label\n1,2,x\n3,4,y\n", ["a"], "a"),
+    ], ids=["label", "feature"])
+    def test_repeated_read_column_rejected(self, tmp_path, strict, text,
+                                           features, column):
+        with pytest.raises(InvalidSchema, match=f"column '{column}' appears"):
+            load_csv(write(tmp_path, text),
+                     IngestionConfig(label_column="label",
+                                     feature_columns=features, strict=strict))
+
+    def test_repeated_unread_column_allowed(self, tmp_path):
+        path = write(tmp_path, "a,b,b,label\n1,2,3,x\n4,5,6,y\n")
+        ds = load_csv(path, IngestionConfig(label_column="label",
+                                            feature_columns=["a"]))
+        np.testing.assert_array_equal(ds.features, [[1.0], [4.0]])
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,x\n1,2\n3,4,y\n")
         with pytest.raises(DimensionMismatch):
@@ -423,6 +447,12 @@ class TestDatasetContainer:
         schema = FeatureSchema(("a",), ("x", "y"))
         with pytest.raises(SchemaMismatch):
             Dataset(schema, [[1.0]], [2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        schema = FeatureSchema(("a", "b"), ("x", "y"))
+        with pytest.raises(NonNumericValue):
+            Dataset(schema, [[1.0, 2.0], [3.0, bad]], [0, 1])
 
     def test_subset_keeps_order(self):
         ds = toy_dataset(6, d=2)

@@ -1,7 +1,8 @@
 """Smoke test: every script in ``demos/`` runs to completion.
 
 Each demo runs in its own interpreter, with the checkout's ``src`` first on
-``PYTHONPATH``, and must exit 0.
+``PYTHONPATH`` and a RuntimeWarning raised as an error, as in the library
+tests, and must exit 0.
 """
 
 import os
@@ -30,6 +31,7 @@ def test_demo_runs(demo, tmp_path):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -352,6 +352,21 @@ class TestPoolLoop:
             run_pool_loop(no_test, StrategyConfig(kind="entropy"),
                           ForestParams(n_trees=3), oracle, 2, stop, 0)
 
+    def test_oracle_over_another_dataset_rejected_before_the_first_fit(
+            self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("fit_forest called")
+
+        monkeypatch.setattr("flowal.engine.fit_forest", spy)
+        ds = toy_dataset(90)
+        pool = make_pool(ds, 0.3, 4, 0)
+        # one as large as the pool's dataset, one too small for its indices
+        for other in (toy_dataset(90, seed=1), toy_dataset(20)):
+            with pytest.raises(InvalidPool, match="oracle"):
+                run_pool_loop(pool, StrategyConfig(kind="entropy"),
+                              ForestParams(n_trees=3), Oracle(other, 0.0, 0),
+                              5, StoppingCriteria(max_queries=10), 0)
+
 
 def stream_pair(seed, spec=None, test_fraction=0.3):
     ds = generate_synthetic(spec or SyntheticSpec(
@@ -550,6 +565,19 @@ class TestStreamLoop:
                                          seed_fraction=seed_fraction),
                             ForestParams(n_trees=3), Oracle(stream, 0.0, 6),
                             None, 6)
+
+    def test_oracle_over_another_dataset_rejected_before_the_first_fit(
+            self, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("fit_forest called")
+
+        monkeypatch.setattr("flowal.engine.fit_forest", spy)
+        stream, test = stream_pair(7)
+        for other in (stream_pair(8)[0], test):
+            with pytest.raises(InvalidPool, match="oracle"):
+                run_stream_loop(stream, test, StreamConfig(seed_fraction=0.05),
+                                ForestParams(n_trees=3), Oracle(other, 0.0, 7),
+                                None, 7)
 
     def test_config_validation(self):
         with pytest.raises(InvalidThreshold):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowal import (
+    Committee,
     Dataset,
     FeatureSchema,
     ForestParams,
@@ -19,6 +20,7 @@ from flowal.errors import (
     EmptyTrainingSet,
     InvalidCommitteeSize,
     InvalidDistribution,
+    InvalidParams,
     SchemaMismatch,
 )
 from flowal.forest import (
@@ -367,6 +369,23 @@ class TestCommittee:
         with pytest.raises(InvalidCommitteeSize):
             fit_committee(self.ds, 1, ForestParams(n_trees=3), 0)
 
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(EmptyTrainingSet):
+            fit_committee(self.ds.subset([]), 2, ForestParams(n_trees=3), 0)
+
+    def test_invalid_members_rejected(self):
+        a, b = (hand_model([constant_tree(0)]) for _ in range(2))
+        other = hand_model([constant_tree(0)], FeatureSchema(("f0",), ("x", "y")))
+        reseeded = ForestModel(SCHEMA2, ForestParams(n_trees=1), 1,
+                               [constant_tree(0)], np.zeros(2, dtype=np.int64))
+        with pytest.raises(InvalidCommitteeSize, match="at least 2"):
+            Committee([a])
+        with pytest.raises(SchemaMismatch):
+            Committee([reseeded, other])
+        with pytest.raises(InvalidCommitteeSize, match="distinct"):
+            Committee([a, b])
+        assert len(Committee([a, reseeded])) == 2
+
 
 class TestEvaluateAccuracy:
     def test_echoing_model_scores_one(self):
@@ -400,13 +419,13 @@ class TestEvaluateAccuracy:
 
 class TestForestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             ForestParams(n_trees=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             ForestParams(min_samples_split=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             ForestParams(features_per_split="log2")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             ForestParams(max_depth=-2)
         assert ForestParams(max_depth=0).max_depth == 0
 

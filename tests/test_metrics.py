@@ -14,7 +14,12 @@ from flowal import (
     tar,
     ttr,
 )
-from flowal.errors import ClassOutOfRange, LengthMismatch, ZeroDenominator
+from flowal.errors import (
+    ClassOutOfRange,
+    InvalidParams,
+    LengthMismatch,
+    ZeroDenominator,
+)
 from tests.test_engine import seeded_split
 
 
@@ -63,7 +68,7 @@ class TestTtr:
             ttr(TimingRecord(1.0, 1.0, 0.0))
 
     def test_negative_times_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             TimingRecord(-1.0, 0.0, 1.0)
 
 
