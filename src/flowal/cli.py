@@ -227,9 +227,11 @@ def _resolve(args) -> _Config:
 
     Runs before any key is read, so a flag beats its config key, which
     beats the KEYS default; an empty flag counts as unset.  ``--seed S``
-    sets both ``seeds`` and ``synthetic.seed``.  ``report`` reads no config.
+    sets both ``seeds`` and ``synthetic.seed``.  ``report`` reads no config;
+    its format defaults to md, not the ``format`` key's csv.
     """
-    cfg = _load_config(args.config) if "config" in args else _Config({})
+    cfg = (_load_config(args.config) if "config" in args
+           else _Config({"format": "md"}))
     if getattr(args, "seed", None) is not None:
         cfg.values["seeds"] = cfg.values["synthetic.seed"] = str(args.seed)
     for key in ("output", "format"):
@@ -414,7 +416,7 @@ def _build_parser() -> _Parser:
     for p in (run, stream):
         p.add_argument("--format", help="csv, json or md (config 'format')")
     report.add_argument("--output", required=True, help="output file path")
-    report.add_argument("--format", default="md", help="csv, json or md (default md)")
+    report.add_argument("--format", help="csv, json or md (default md)")
     for p in (run, stream, generate, report):
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress messages")

@@ -234,9 +234,10 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
     Class indices follow first-appearance order among the rows kept.  Errors
     name the 1-based physical line (the header is line 1) and a blank label
     or the first bad cell in feature order; cells are stripped, a leading
-    BOM skipped.  A column that is read must appear once in the header.
-    Rows go onto one flat float buffer, so a skipped row adds no class.
-    ``Dataset`` copies it: ingest peaks near 2x the matrix.
+    BOM skipped.  A column that is read must appear once in the header and
+    in ``feature_columns``.  Rows go onto one flat float buffer, so a
+    skipped row adds no class.  ``Dataset`` copies it: ingest peaks near 2x
+    the matrix.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -251,9 +252,11 @@ def load_csv(path, config: IngestionConfig) -> Dataset:
             feature_names = [str(c) for c in config.feature_columns]
             if config.label_column in feature_names:
                 raise InvalidSchema("label column listed among feature columns")
-            for name in feature_names:
+            for i, name in enumerate(feature_names):
                 if name not in header:
                     raise MissingColumn(f"feature column {name!r} not in header")
+                if name in feature_names[:i]:
+                    raise InvalidSchema(f"feature column {name!r} listed twice")
         else:
             feature_names = [h for h in header if h != config.label_column]
         if not feature_names:

@@ -1,10 +1,11 @@
 """Active-learning loops: pool-based sampling and stream-based selective sampling.
 
-Both loops share the same skeleton: fit on the labeled set, evaluate on the
-held-out test set, record an iteration, check the stopping criteria, acquire
-more labels from the oracle, repeat.  Every training label flows through the
-oracle (so annotation noise applies to the seed set too); test labels are
-always ground truth.
+Both loops run on one core, ``_Recorder``, which labels through the oracle,
+fits on the labeled set, evaluates on the held-out test set, records an
+iteration and checks the stopping criteria; each loop adds only its
+acquisition rule.  Every training label flows through the oracle (so
+annotation noise applies to the seed set too); test labels are always
+ground truth.
 
 All timing flows through an injectable monotonic clock so that time-dependent
 behavior is testable, and every random decision derives from explicit seeds,
@@ -31,6 +32,7 @@ from .errors import (
 from .forest import ForestParams, evaluate_accuracy, fit_committee, fit_forest
 from .rng import derive_seed, make_rng
 from .strategies import (
+    UNCERTAINTY_KINDS,
     LalRegressor,
     StrategyConfig,
     needs_committee,
@@ -214,40 +216,59 @@ def check_stop(stop: StoppingCriteria, history: RunHistory,
     return None
 
 
-def _labeled_dataset(dataset: Dataset, indices, labels) -> Dataset:
-    return Dataset(dataset.schema, dataset.features[np.asarray(indices, int)],
-                   np.asarray(labels, int))
-
-
 class _Recorder:
-    """The refit -> evaluate -> record -> check-stop step both loops share.
+    """The loop core: the labeled set, its oracle labels and the refit step.
 
-    It owns the loop's history and cumulative times.  Every step reads the
-    clock three times: around the fit, then for the elapsed-time check.
+    It owns the labeled indices in query order with their oracle labels, the
+    history and the cumulative times.  A refit fits a committee when
+    ``strategy`` needs one, else a forest, seeded ``(seed, tag, iteration)``,
+    then records its accuracy on ``test`` and checks ``stop``.  The clock is
+    first read after ``initial`` is labeled, then three times per refit:
+    around the fit and for the elapsed-time check.
     """
 
-    def __init__(self, stop: StoppingCriteria, clock: Clock, test: Dataset):
-        self.stop = stop
-        self.clock = clock
-        self.test = test
-        self.start = clock()
-        self.train_time = 0.0
-        self.select_time = 0.0
+    def __init__(self, dataset: Dataset, oracle: Oracle, initial,
+                 test: Dataset, learner: ForestParams, stop: StoppingCriteria,
+                 seed: int, tag: int, clock: Optional[Clock],
+                 strategy: Optional[StrategyConfig] = None):
+        if oracle.dataset is not dataset:
+            raise InvalidPool("the oracle must label the loop's own dataset")
+        self.dataset, self.oracle, self.test = dataset, oracle, test
+        self.learner, self.stop, self.seed, self.tag = learner, stop, seed, tag
+        self.committee = (strategy.committee_size if strategy is not None
+                          and needs_committee(strategy) else 0)
+        self.labeled, self.labels = [], []  # in query order, as fits see them
+        self.label(initial)
+        self.clock = clock or time.perf_counter
+        self.start = self.clock()
+        self.train_time = self.select_time = 0.0
         self.history = RunHistory([], StopReason.EXHAUSTED)
 
-    def refit(self, fit: Callable[[int], object], n_labeled: int,
-              queried: Tuple[int, ...]):
+    def label(self, indices) -> None:
+        """Ask the oracle once per index; append each to the labeled set."""
+        for i in map(int, indices):
+            self.labels.append(oracle_label(self.oracle, i))
+            self.labeled.append(i)
+
+    def refit(self, queried: Tuple[int, ...]):
         """Fit a model, record its test accuracy; returns (model, stopped).
 
-        ``fit`` receives the iteration number, the count of earlier refits.
         When a stopping criterion fires it becomes the history's stop reason.
         """
         t0 = self.clock()
-        model = fit(len(self.history.iterations))
+        train = Dataset(self.dataset.schema,
+                        self.dataset.features[np.asarray(self.labeled, int)],
+                        np.asarray(self.labels, int))
+        fit_seed = derive_seed(self.seed, self.tag, len(self.history.iterations))
+        if self.committee:
+            model = fit_committee(train, self.committee, self.learner, fit_seed)
+        else:
+            model = fit_forest(train, self.learner, fit_seed)
         self.train_time += self.clock() - t0
         accuracy = evaluate_accuracy(model, self.test)
         self.history.iterations.append(IterationRecord(
-            n_labeled, queried, accuracy, self.select_time, self.train_time))
+            len(self.labeled), queried, accuracy, self.select_time,
+            self.train_time))
         reason = check_stop(self.stop, self.history,
                             self.clock() - self.start)
         if reason is not None:
@@ -276,45 +297,27 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
         raise InvalidPool("pool loop needs a non-empty test set")
     if not len(pool.labeled):
         raise InvalidPool("pool loop needs a non-empty seed labeled set")
-    if oracle.dataset is not pool.dataset:
-        raise InvalidPool("the oracle must label the pool's own dataset")
-    clock = clock or time.perf_counter
-    test_ds = pool.dataset.subset(pool.test)
-    labeled = pool.labeled  # grows in query order, the order fits see
-    labels = [oracle_label(oracle, i) for i in labeled]
+    run = _Recorder(pool.dataset, oracle, pool.labeled,
+                    pool.dataset.subset(pool.test), learner, stop, seed, 9,
+                    clock, strategy)
     unlabeled = pool.unlabeled
-
-    run = _Recorder(stop, clock, test_ds)
-    history = run.history
-    regressor = lal_regressor
-    queried_now: Tuple[int, ...] = ()
-
-    def fit(iteration):
-        train_ds = _labeled_dataset(pool.dataset, labeled, labels)
-        fit_seed = derive_seed(seed, 9, iteration)
-        if needs_committee(strategy):
-            return fit_committee(train_ds, strategy.committee_size, learner,
-                                 fit_seed)
-        return fit_forest(train_ds, learner, fit_seed)
-
+    chosen = ()
     while True:
-        state, stopped = run.refit(fit, len(labeled), queried_now)
+        state, stopped = run.refit(tuple(chosen))
         if stopped or not len(unlabeled):
-            return history
+            return run.history
         k = min(batch, len(unlabeled))
         if stop.max_queries is not None:
-            k = min(k, stop.max_queries - history.total_queries())
-        t0 = clock()
-        if strategy.kind == "lal" and regressor is None:
-            regressor = train_lal_regressor(strategy.lal_params)
-        current = PoolState(pool.dataset, labeled, unlabeled, pool.test)
+            k = min(k, stop.max_queries - run.history.total_queries())
+        t0 = run.clock()
+        if strategy.kind == "lal" and lal_regressor is None:
+            lal_regressor = train_lal_regressor(strategy.lal_params)
+        current = PoolState(pool.dataset, run.labeled, unlabeled, pool.test)
         chosen = select_batch(strategy, state, current, k,
-                              lal_regressor=regressor)
-        run.select_time += clock() - t0
-        labels += [oracle_label(oracle, idx) for idx in chosen]
-        labeled = np.concatenate([labeled, chosen])
+                              lal_regressor=lal_regressor)
+        run.select_time += run.clock() - t0
+        run.label(chosen)
         unlabeled = np.setdiff1d(unlabeled, chosen, assume_unique=True)
-        queried_now = tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,7 @@ class StreamConfig:
     retrain_every: int = 10
 
     def __post_init__(self):
-        if self.measure not in ("entropy", "least_confidence", "margin"):
+        if self.measure not in UNCERTAINTY_KINDS:
             raise InvalidThreshold(f"unknown stream measure {self.measure!r}")
         if self.threshold < 0:
             raise InvalidThreshold("threshold must be >= 0")
@@ -367,47 +370,37 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     n = len(stream)
     if n == 0:
         raise EmptyStream("stream has no records")
-    if oracle.dataset is not stream:
-        raise InvalidPool("the oracle must label the stream itself")
-    clock = clock or time.perf_counter
     budget = config.max_label_budget
     stop = cap_queries(stop, subset_size(0.15, n) if budget is None else budget)
     n_seed = max(1, subset_size(config.seed_fraction, n))
-    labeled = list(range(n_seed))
-    labels = [oracle_label(oracle, i) for i in labeled]
-    if len(set(labels)) < 2:
+    run = _Recorder(stream, oracle, range(n_seed), test, learner, stop, seed,
+                    13, clock)
+    if len(set(run.labels)) < 2:
         # a one-class model scores every instance 0 and would never query
         raise InvalidThreshold(
             f"seed_fraction {config.seed_fraction} gives a {n_seed}-record seed "
             "prefix with one class; the first model needs at least two")
 
-    run = _Recorder(stop, clock, test)
-
-    def fit(iteration):
-        return fit_forest(_labeled_dataset(stream, labeled, labels),
-                          learner, derive_seed(seed, 13, iteration))
-
-    model, stopped = run.refit(fit, len(labeled), ())
+    model, stopped = run.refit(())
     pending: List[int] = []
     for i in range(n_seed, n):
-        if stopped or len(labeled) - n_seed >= stop.max_queries:
+        if stopped or len(run.labeled) - n_seed >= stop.max_queries:
             break
-        t0 = clock()
+        t0 = run.clock()
         probs = model.predict_proba_many(stream.features[i:i + 1])
         value = float(uncertainty_scores(config.measure, probs)[0])
-        run.select_time += clock() - t0
+        run.select_time += run.clock() - t0
         if config.measure == "margin":
             useful = value <= config.threshold
         else:
             useful = value >= config.threshold
         if not useful:
             continue  # discarded permanently
-        labels.append(oracle_label(oracle, i))
-        labeled.append(i)
+        run.label([i])
         pending.append(i)
         if len(pending) == config.retrain_every:
-            model, stopped = run.refit(fit, len(labeled), tuple(pending))
+            model, stopped = run.refit(tuple(pending))
             pending = []
     if pending:
-        run.refit(fit, len(labeled), tuple(pending))
+        run.refit(tuple(pending))
     return run.history

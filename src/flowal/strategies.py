@@ -60,7 +60,7 @@ STRATEGY_KINDS = (
     "random",
 )
 
-_UNCERTAINTY_KINDS = ("entropy", "least_confidence", "margin")
+UNCERTAINTY_KINDS = ("entropy", "least_confidence", "margin")
 _QBC_KINDS = ("qbc_vote_entropy", "qbc_kl")
 
 
@@ -357,10 +357,10 @@ class StrategyConfig:
             raise InvalidParams("beta must be >= 0")
         if self.kind in _QBC_KINDS and self.committee_size < 2:
             raise InvalidParams("QBC needs committee_size >= 2")
-        if self.base_informativeness not in _UNCERTAINTY_KINDS:
+        if self.base_informativeness not in UNCERTAINTY_KINDS:
             raise InvalidParams(
                 "base_informativeness must be one of "
-                f"{_UNCERTAINTY_KINDS}, got {self.base_informativeness!r}"
+                f"{UNCERTAINTY_KINDS}, got {self.base_informativeness!r}"
             )
 
     @property
@@ -383,7 +383,7 @@ def score_pool(config: StrategyConfig, state, pool: "PoolState",
         raise EmptyPool("no unlabeled instances to score")
     XU = pool.dataset.features[U]
     kind = config.kind
-    if kind in _UNCERTAINTY_KINDS:
+    if kind in UNCERTAINTY_KINDS:
         return uncertainty_scores(kind, state.predict_proba_many(XU))
     if kind == "qbc_vote_entropy":
         committee = _require_committee(state)

@@ -17,6 +17,7 @@ from flowal import (
     emit_report,
     load_rows,
     run_experiment,
+    subset_size,
 )
 from flowal.bench import rows_to_csv, rows_to_json, rows_to_md
 from flowal.cli import cli_main
@@ -42,6 +43,15 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def test_only_the_cells_label_through_the_engine(engine_calls):
+    # the full-pool baseline labels through bench's own oracle_label
+    config = small_config(fractions=(0.01, 0.05))
+    run_experiment(config)
+    budgets = [subset_size(f, 3 * 200) for f in config.fractions]
+    assert engine_calls["oracle_label"] \
+        == sum(budgets) * len(config.strategies) * len(config.seeds)
 
 
 def sample_row(**overrides):

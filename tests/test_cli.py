@@ -89,58 +89,39 @@ class TestConfigParsing:
 
 
 def test_key_defaults_are_the_library_defaults():
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-    ingestion = IngestionConfig(label_column="label")
-    synthetic = SyntheticSpec(n_classes=2, per_class=1, n_features=1)
-    strategy = StrategyConfig(kind="entropy")
-    lal, learner, stream = LalParams(), ForestParams(), StreamConfig()
-    stop = {f.name: f.default for f in dataclasses.fields(StoppingCriteria)}
-    library = {
-        "data.features": ingestion.feature_columns,
-        "data.strict": ingestion.strict,
-        "synthetic.separation": synthetic.class_mean_separation,
-        "synthetic.noise": synthetic.noise_stddev,
-        "synthetic.seed": synthetic.seed,
-        "test_fraction": defaults["test_fraction"],
-        "fractions": defaults["fractions"],
-        "batch": defaults["batch"],
-        "seed_size": defaults["seed_size"],
-        "include_full_baseline": defaults["include_full_baseline"],
-        "oracle_noise": defaults["oracle_noise"],
-        # the experiment's learner, not a bare ForestParams(), is the default
-        "learner.trees": defaults["learner"].n_trees,
-        "strategy.seed": strategy.seed,
-        "qbc.committee_size": strategy.committee_size,
-        "density.beta": strategy.beta,
-        "density.base": strategy.base_informativeness,
-        "lal.mc_rounds": lal.mc_rounds,
-        "lal.trees": lal.regressor.n_trees,
-        "lal.seed": lal.seed,
-        "learner.max_depth": learner.max_depth,
-        "learner.min_samples_split": learner.min_samples_split,
-        "learner.features_per_split": learner.features_per_split,
-        "learner.bootstrap": learner.bootstrap,
-        "stop.accuracy": stop["accuracy_threshold"],
-        "stop.max_queries": stop["max_queries"],
-        "stop.time_budget": stop["time_budget"],
-        "stream.measure": stream.measure,
-        "stream.threshold": stream.threshold,
-        "stream.budget": stream.max_label_budget,
-        "stream.seed_fraction": stream.seed_fraction,
-        "stream.retrain_every": stream.retrain_every,
-    }
+    def defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+
+    experiment = defaults(ExperimentConfig)
+    strategy = defaults(StrategyConfig)
+    library = {"data": defaults(IngestionConfig),
+               "synthetic": defaults(SyntheticSpec), "": experiment,
+               "strategy": strategy, "qbc": strategy, "density": strategy,
+               "lal": defaults(LalParams), "learner": defaults(ForestParams),
+               "stop": defaults(StoppingCriteria),
+               "stream": defaults(StreamConfig)}
+    # the experiment's learner, not a bare ForestParams(), is the default
+    library["learner"]["n_trees"] = experiment["learner"].n_trees
+    config = flowal.cli._Config({})
+    fields = {section: config.fields(section) for section in library}
+    parsed, expected = {}, {}
+    for key, (_, _, field) in KEYS.items():
+        section = key.rpartition(".")[0]
+        if field in library[section]:
+            parsed[key] = fields[section][field]
+            expected[key] = library[section][field]
+    # lal.trees sets the regressor's n_trees, not a field of LalParams
+    parsed["lal.trees"] = config.get("lal.trees")
+    expected["lal.trees"] = LalParams().regressor.n_trees
+    parsed["fractions"] = tuple(parsed["fractions"])
+    assert parsed == expected
     # keys that feed a required field, or no library field at all
-    no_library_default = {
+    assert set(KEYS) - set(parsed) == {
         "data.csv", "data.label_column", "synthetic.classes",
         "synthetic.per_class", "synthetic.features", "synthetic.drift_onset",
         "synthetic.drift_shift", "seeds", "strategies", "stop.window",
         "stop.epsilon", "output", "format"}
-    assert set(library) | no_library_default == set(KEYS)
-    assert not set(library) & no_library_default
-    config = flowal.cli._Config({})
-    parsed = {key: config.get(key) for key in library}
-    parsed["fractions"] = tuple(parsed["fractions"])
-    assert parsed == library
 
 
 class TestUsageErrors:
@@ -691,6 +672,17 @@ class TestFlags:
         assert cli_main(["run", "--config", cfg, "--output", "",
                          "--format", "", "--quiet"]) == 0
         assert (tmp_path / name).read_text(encoding="utf-8").startswith(start)
+
+    @pytest.mark.parametrize("flag", [[], ["--format", ""]])
+    def test_report_renders_md_without_a_format(self, tmp_path, flag):
+        rows = tmp_path / "rows.json"
+        rows.write_text(rows_to_json([ExperimentRow(
+            "entropy", 0.1, 0, 1.0, 0.9, 0.95, 0.5, 0.95, 0.8, 0.2, 2.0)]),
+            encoding="utf-8")
+        out = tmp_path / "tables.md"
+        assert cli_main(["report", str(rows), "--output", str(out), "--quiet",
+                         *flag]) == 0
+        assert out.read_text(encoding="utf-8").startswith("## ")
 
     def test_progress_line_without_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "synthetic.classes = 2\n"

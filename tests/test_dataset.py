@@ -148,6 +148,15 @@ class TestLoadCsv:
                      IngestionConfig(label_column="label",
                                      feature_columns=features, strict=strict))
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_feature_listed_twice_rejected_before_the_first_row(self, tmp_path,
+                                                                 strict):
+        path = write(tmp_path, "a,b,label\n1,2,x\nbad,3,y\n")
+        with pytest.raises(InvalidSchema, match="'a' listed twice"):
+            load_csv(path, IngestionConfig(label_column="label",
+                                           feature_columns=["a", "a"],
+                                           strict=strict))
+
     def test_repeated_unread_column_allowed(self, tmp_path):
         path = write(tmp_path, "a,b,b,label\n1,2,3,x\n4,5,6,y\n")
         ds = load_csv(path, IngestionConfig(label_column="label",

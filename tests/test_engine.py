@@ -590,6 +590,31 @@ class TestStreamLoop:
             StreamConfig(max_label_budget=-1)
 
 
+class TestBenchmarkCountedCalls:
+    """One fit per recorded iteration and one oracle call per labeled index."""
+
+    @pytest.mark.parametrize("strategy, fit", [("entropy", "fit_forest"),
+                                               ("qbc_kl", "fit_committee")])
+    def test_pool_loop(self, engine_calls, strategy, fit):
+        _, history = run_small_pool(StoppingCriteria(max_queries=13),
+                                    strategy=strategy)
+        expected = dict(fit_forest=0, fit_committee=0,
+                        oracle_label=history.iterations[-1].n_labeled)
+        expected[fit] = len(history.iterations)
+        assert engine_calls == expected
+
+    def test_stream_loop(self, engine_calls):
+        stream, test = stream_pair(1)
+        history = run_stream_loop(
+            stream, test, StreamConfig(threshold=0.0, max_label_budget=25,
+                                       seed_fraction=0.05),
+            ForestParams(n_trees=8), Oracle(stream, 0.0, 1), None, 1)
+        assert len(history.iterations) == 4  # seed, two full batches, the rest
+        assert engine_calls == dict(
+            fit_forest=4, fit_committee=0,
+            oracle_label=history.iterations[-1].n_labeled)
+
+
 def batch_sum(history):
     """The reference count: every record's batch, summed."""
     return sum(len(it.queried) for it in history.iterations)
