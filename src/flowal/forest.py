@@ -18,6 +18,7 @@ Determinism rules baked in here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -62,6 +63,11 @@ class ProbabilityDistribution:
         return f"ProbabilityDistribution({self.probs.tolist()})"
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True trees or split sizes are mistakes
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ForestParams:
     """Forest hyperparameters (standard Breiman defaults).
@@ -77,17 +83,18 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise InvalidParams("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise InvalidParams("max_depth must be >= 0 or None")
-        if self.min_samples_split < 2:
-            raise InvalidParams("min_samples_split must be >= 2")
+        if not _is_int(self.n_trees) or self.n_trees < 1:
+            raise InvalidParams("n_trees must be an int >= 1")
+        if self.max_depth is not None and not (_is_int(self.max_depth)
+                                               and self.max_depth >= 0):
+            raise InvalidParams("max_depth must be an int >= 0 or None")
+        if not _is_int(self.min_samples_split) or self.min_samples_split < 2:
+            raise InvalidParams("min_samples_split must be an int >= 2")
         if isinstance(self.features_per_split, str):
             if self.features_per_split != "sqrt":
                 raise InvalidParams("features_per_split must be 'sqrt' or an int")
-        elif self.features_per_split < 1:
-            raise InvalidParams("features_per_split must be >= 1")
+        elif not _is_int(self.features_per_split) or self.features_per_split < 1:
+            raise InvalidParams("features_per_split must be 'sqrt' or an int >= 1")
 
     def resolve_features_per_split(self, n_features: int) -> int:
         if self.features_per_split == "sqrt":
@@ -149,101 +156,124 @@ class _Tree:
         return leaves
 
 
-class _Workspace:
-    """Scratch buffers for one tree's split scans, sized for its root node.
+# a node's split scan takes its candidate features in blocks of at most this
+# many payload cells (node rows times payload width) each, or one feature
+_SCAN_CELLS = 1 << 16
 
-    A node of m rows scoring k candidate features works in views of the
-    leading entries and fills them with ``out=``, so a tree allocates its
-    (k, m, payload width) temporaries once instead of per feature and node.
+
+class _Workspace:
+    """Scratch buffers for one tree's split scans, sized by its sample.
+
+    A node of m rows and payload width P scans its k candidate features in
+    blocks of ``max(1, _SCAN_CELLS // (m * P))``.  Each block works in views
+    of the leading entries and fills them with ``out=``, so a tree allocates
+    its temporaries once instead of per block and node.  A tree of n sample
+    rows holds at most max(_SCAN_CELLS, n * P) payload cells, whatever k.
     """
 
-    __slots__ = ("cum", "terms", "left", "right", "non_cut", "sizes")
+    __slots__ = ("cum", "terms", "left", "right", "nr", "non_cut")
 
     def __init__(self, k: int, n: int, width: int):
-        cuts = k * max(n - 1, 0)
-        self.cum = np.empty(k * n * width)
-        self.terms = np.empty(cuts * width)
-        self.left = np.empty(cuts)
-        self.right = np.empty(cuts)
-        self.non_cut = np.empty(cuts, dtype=bool)
-        # left-child sizes 1 .. n - 1; a node takes the first m - 1 of them
-        # and, reversed, its right-child sizes
-        self.sizes = np.arange(1.0, n)
+        rows = min(k * n, max(_SCAN_CELLS // width, n))
+        self.cum = np.empty(rows * width)
+        self.terms = np.empty(rows * width)
+        self.left = np.empty(rows)
+        self.right = np.empty(rows)
+        self.nr = np.empty(rows)
+        self.non_cut = np.empty(rows, dtype=bool)
 
 
 def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _best_split(Xt, payload, idx, feats, cut_impurity, ws: _Workspace):
-    """Lowest-impurity (feature, threshold, goes_left) over candidate features.
+def _best_split(Xt, payload, idx, total, feats, cut_impurity, ws: _Workspace):
+    """Lowest-impurity split of a node's rows ``idx`` over candidate features.
 
-    ``Xt`` is the tree's feature-major sample.  All k candidate features of
-    the node are scored together: one (k, m) gather of the node's values,
-    one stable argsort per row, one (k, m, P) gather and cumsum of the
-    node's ``payload`` rows in each feature's sorted order, and
-    ``cut_impurity(cum, nl, nr, ws)`` scores the cut after every sorted
-    row, nl rows left and nr right.  Positions between equal values are
-    not cuts.
+    ``Xt`` is the tree's feature-major sample, and ``payload`` has one row
+    per sample row whose last entry is the row's weight; ``total`` is the
+    weight of the node.  The features are scored in blocks (see
+    ``_Workspace``): one gather of the block's values on the node, one
+    stable argsort per feature, one gather and cumsum of the node's
+    ``payload`` rows in each feature's sorted order, and
+    ``cut_impurity(cum, total, ws)`` scores the cut after every sorted row.
+    Positions between equal values are not cuts.
     ``feats`` must be in ascending order; the first feature reaching the
-    overall minimum wins (ties go to the lowest feature index) and argmin
-    keeps the lowest threshold.  ``goes_left`` marks the node's rows routed
-    left.  Returns None when every candidate feature is constant on the node.
+    overall minimum wins (ties go to the lowest feature index, across blocks
+    by a strictly-better comparison) and argmin keeps the lowest threshold.
+    Returns None when every candidate feature is constant on the node, else
+    (feature, threshold, goes_left, left weight), where ``goes_left`` marks
+    the node's rows routed left.
     """
-    k, m = feats.size, idx.size
-    column = feats[:, None]
-    rows = idx[Xt[column, idx].argsort(axis=1, kind="stable")]
-    ordered = Xt[column, rows]
-    cum = _view(ws.cum, k, m, payload.shape[1])
-    # rows are in range; mode="clip" lets take write to out unbuffered
-    payload.take(rows, axis=0, out=cum, mode="clip")
-    cum.cumsum(axis=1, out=cum)
-    impurity = cut_impurity(cum, ws.sizes[:m - 1], ws.sizes[m - 2::-1], ws)
-    non_cut = _view(ws.non_cut, k, m - 1)
-    np.greater(ordered[:, 1:], ordered[:, :-1], out=non_cut)
-    np.logical_not(non_cut, out=non_cut)
-    np.copyto(impurity, np.inf, where=non_cut)
-    lowest = impurity.min(axis=1)
-    # a NaN minimum never wins, as under a strictly-better comparison
-    i = int(np.where(lowest < np.inf, lowest, np.inf).argmin())
-    if not lowest[i] < np.inf:
+    m, width = idx.size, payload.shape[1]
+    step = max(1, _SCAN_CELLS // (m * width))
+    best, best_impurity = None, np.inf
+    for start in range(0, feats.size, step):
+        column = feats[start:start + step, None]
+        k = column.shape[0]
+        rows = idx[Xt[column, idx].argsort(axis=1, kind="stable")]
+        ordered = Xt[column, rows]
+        cum = _view(ws.cum, k, m, width)
+        # rows are in range; mode="clip" lets take write to out unbuffered
+        payload.take(rows, axis=0, out=cum, mode="clip")
+        cum.cumsum(axis=1, out=cum)
+        impurity = cut_impurity(cum, total, ws)
+        non_cut = _view(ws.non_cut, k, m - 1)
+        np.greater(ordered[:, 1:], ordered[:, :-1], out=non_cut)
+        np.logical_not(non_cut, out=non_cut)
+        np.copyto(impurity, np.inf, where=non_cut)
+        lowest = impurity.min(axis=1)
+        # a NaN minimum never wins, as under a strictly-better comparison
+        i = int(np.where(lowest < np.inf, lowest, np.inf).argmin())
+        if lowest[i] < best_impurity:
+            j = int(impurity[i].argmin())
+            best_impurity = lowest[i]
+            best = (int(column[i, 0]), ordered[i, j], ordered[i, j + 1],
+                    float(cum[i, j, -1]))
+    if best is None:
         return None
-    j = int(impurity[i].argmin())
-    threshold = _midpoint(ordered[i, j], ordered[i, j + 1])
-    return int(feats[i]), threshold, Xt[feats[i], idx] <= threshold
+    f, lo, hi, left_weight = best
+    threshold = _midpoint(lo, hi)
+    return f, threshold, Xt[f, idx] <= threshold, left_weight
 
 
-def _gini_of_cuts(cum, nl, nr, ws):
-    """Size-weighted Gini impurity of every cut; ``cum`` sums one-hot rows.
+def _gini_of_cuts(cum, total, ws):
+    """Weighted Gini impurity of every cut, divided by the node's weight.
 
-    Each cut divides, squares and sums its class row over the contiguous
-    class axis, in the order the golden trees were recorded with; a change
-    to that order can flip near-tied splits.
+    ``cum`` sums rows of per-class weights followed by the row weight, so a
+    cut's left weight nl is its last entry and nr = total - nl.  Each cut
+    divides, squares and sums its class row over the contiguous class axis,
+    in the order the golden trees were recorded with; a change to that order
+    can flip near-tied splits.
     """
-    k, m, n_classes = cum.shape
-    terms = _view(ws.terms, k, m - 1, n_classes)
+    k, m, width = cum.shape
+    terms = _view(ws.terms, k, m - 1, width - 1)
     gini_l = _view(ws.left, k, m - 1)
     gini_r = _view(ws.right, k, m - 1)
-    left = cum[:, :-1]
-    np.divide(left, nl[:, None], out=terms)
+    nl = cum[:, :-1, -1]
+    nr = np.subtract(total, nl, out=_view(ws.nr, k, m - 1))
+    left = cum[:, :-1, :-1]
+    np.divide(left, nl[..., None], out=terms)
     np.square(terms, out=terms)
     terms.sum(axis=2, out=gini_l)
     np.subtract(1.0, gini_l, out=gini_l)
-    np.subtract(cum[:, -1:], left, out=terms)
-    np.divide(terms, nr[:, None], out=terms)
+    np.subtract(cum[:, -1:, :-1], left, out=terms)
+    np.divide(terms, nr[..., None], out=terms)
     np.square(terms, out=terms)
     terms.sum(axis=2, out=gini_r)
     np.subtract(1.0, gini_r, out=gini_r)
     np.multiply(nl, gini_l, out=gini_l)
     np.multiply(nr, gini_r, out=gini_r)
     np.add(gini_l, gini_r, out=gini_l)
-    return np.divide(gini_l, m, out=gini_l)
+    return np.divide(gini_l, total, out=gini_l)
 
 
-def _sse_of_cuts(cum, nl, nr, ws):
-    """Total squared error of every cut; ``cum`` sums (t, t * t) rows."""
+def _sse_of_cuts(cum, total, ws):
+    """Total squared error of every cut; ``cum`` sums (t, t * t, 1) rows."""
     k, m, _ = cum.shape
     s1, s2 = cum[:, :, 0], cum[:, :, 1]
+    nl = cum[:, :-1, 2]
+    nr = np.subtract(total, nl, out=_view(ws.nr, k, m - 1))
     sse_l = _view(ws.left, k, m - 1)
     sse_r = _view(ws.right, k, m - 1)
     tail = _view(ws.terms, k, m - 1)
@@ -267,21 +297,27 @@ def _midpoint(lo: float, hi: float) -> float:
 
 
 def _grow_trees(X, labels, payload_rows, cut_impurity, leaf_value, placeholder,
-                params: ForestParams, seed: int, stream: int) -> list:
+                params: ForestParams, seed: int, stream: int,
+                collapse: bool) -> list:
     """Grow ``params.n_trees`` CART trees; tree t draws from (seed, stream, t).
 
-    ``payload_rows(ys)`` gives one payload row per sampled label, summed by
-    ``cut_impurity`` over each candidate cut.  A leaf's value is
-    ``leaf_value`` of its rows' ``labels`` (classes or targets); internal
-    nodes store ``placeholder``.  Nodes are created depth-first, left before
-    right, which fixes the sequence of rng draws (bootstrap first, then one
-    feature subset per split) and makes each tree a pure function of (data,
-    params, rng seed).
+    With ``collapse``, a tree grows on the distinct rows of its sample, each
+    weighted by the number of times it was drawn; without, on every drawn
+    row with weight 1.  A Gini cut reads class weight sums and nl, nr, all
+    integers exact in float64, so a classifier's trees are bit-identical
+    either way; summed regression targets would round differently.
+    ``payload_rows(ys, w)`` gives one payload row per sample row, the row's
+    weight last, and ``cut_impurity`` sums them over each candidate cut.  A
+    node splits only if its weight reaches ``min_samples_split``.  A leaf's
+    value is ``leaf_value`` of its rows' ``labels`` (classes or targets) and
+    weights; internal nodes store ``placeholder``.  Nodes are created
+    depth-first, left before right, which fixes the sequence of rng draws
+    (bootstrap first, then one feature subset per split) and makes each tree
+    a pure function of (data, params, rng seed).  Each tree has its own
+    sample-sized ``_Workspace``.
     """
     n, d = X.shape
     k = params.resolve_features_per_split(d)
-    # every tree's sample has n rows, so the forest shares one workspace
-    ws = _Workspace(k, n, payload_rows(labels[:1]).shape[1])
     trees = []
     for t in range(params.n_trees):
         rng = make_rng(seed, stream, t)
@@ -289,15 +325,22 @@ def _grow_trees(X, labels, payload_rows, cut_impurity, leaf_value, placeholder,
             sample = rng.integers(0, n, size=n)
         else:
             sample = np.arange(n)
+        if collapse:
+            sample, counts = np.unique(sample, return_counts=True)
+            weights = counts.astype(np.float64)
+        else:
+            weights = np.ones(n)
         Xt = np.ascontiguousarray(X[sample].T)
         ys = labels[sample]
-        payload = payload_rows(ys)
+        payload = payload_rows(ys, weights)
+        ws = _Workspace(k, sample.size, payload.shape[1])
         feature, threshold, left, right, value, depth_arr = [], [], [], [], [], []
 
-        # stack entries: (row indices, depth, parent node id, is_right_child)
-        stack = [(np.arange(n), 0, -1, False)]
+        # stack entries: (row indices, weight, depth, parent node id,
+        # is_right_child)
+        stack = [(np.arange(sample.size), float(n), 0, -1, False)]
         while stack:
-            idx, depth, parent, is_right = stack.pop()
+            idx, total, depth, parent, is_right = stack.pop()
             node_id = len(feature)
             if parent >= 0:
                 (right if is_right else left)[parent] = node_id
@@ -309,33 +352,35 @@ def _grow_trees(X, labels, payload_rows, cut_impurity, leaf_value, placeholder,
 
             node_labels = ys[idx]
             can_split = (
-                idx.size >= params.min_samples_split
+                total >= params.min_samples_split
                 and not (node_labels == node_labels[0]).all()
                 and (params.max_depth is None or depth < params.max_depth)
             )
             split = None
             if can_split:
                 feats = np.sort(rng.choice(d, size=k, replace=False))
-                split = _best_split(Xt, payload, idx, feats, cut_impurity, ws)
+                split = _best_split(Xt, payload, idx, total, feats,
+                                    cut_impurity, ws)
             if split is None:
-                value.append(leaf_value(node_labels))
+                value.append(leaf_value(node_labels, weights[idx]))
                 continue
-            f, thr, goes_left = split
+            f, thr, goes_left, left_total = split
             feature[node_id] = f
             threshold[node_id] = thr
             value.append(placeholder)
             # push right first so the left child is created (and draws rng) first
-            stack.append((idx[~goes_left], depth + 1, node_id, True))
-            stack.append((idx[goes_left], depth + 1, node_id, False))
+            stack.append((idx[~goes_left], total - left_total, depth + 1,
+                          node_id, True))
+            stack.append((idx[goes_left], left_total, depth + 1, node_id, False))
         trees.append(_Tree(feature, threshold, left, right, value, depth_arr))
-        # free this tree's sample before the next tree allocates its own
-        del Xt, payload
+        # free this tree's sample and workspace before the next tree's
+        del Xt, payload, ws
     return trees
 
 
-def _majority(labels: np.ndarray) -> int:
-    # the first max of the counts is the lowest majority class
-    return int(np.bincount(labels).argmax())
+def _majority(labels: np.ndarray, weights: np.ndarray) -> int:
+    # the first max of the weighted counts is the lowest majority class
+    return int(np.bincount(labels, weights=weights).argmax())
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -417,9 +462,12 @@ def fit_forest(labeled: Dataset, params: ForestParams, seed: int) -> ForestModel
     """Fit ``params.n_trees`` CART trees; tree t is seeded by (seed, 0, t)."""
     if len(labeled) == 0:
         raise EmptyTrainingSet("cannot fit a forest on zero records")
-    onehot = np.eye(labeled.schema.n_classes)
-    trees = _grow_trees(labeled.features, labeled.labels, lambda ys: onehot[ys],
-                        _gini_of_cuts, _majority, -1, params, seed, 0)
+    # one-hot class rows with a trailing 1, scaled by the row weights
+    onehot = np.eye(labeled.schema.n_classes, labeled.schema.n_classes + 1)
+    onehot[:, -1] = 1.0
+    trees = _grow_trees(labeled.features, labeled.labels,
+                        lambda ys, w: onehot[ys] * w[:, None], _gini_of_cuts,
+                        _majority, -1, params, seed, 0, collapse=True)
     return ForestModel(labeled.schema, params, seed, trees, labeled.class_counts())
 
 
@@ -521,6 +569,7 @@ def fit_regression_forest(X, targets, params: ForestParams,
         raise EmptyTrainingSet("regression forest needs a non-empty matrix")
     if t.shape != (X.shape[0],):
         raise DimensionMismatch("one target per row required")
-    trees = _grow_trees(X, t, lambda ys: np.column_stack([ys, ys * ys]),
-                        _sse_of_cuts, np.mean, 0.0, params, seed, 3)
+    trees = _grow_trees(X, t, lambda ys, w: np.column_stack([ys, ys * ys, w]),
+                        _sse_of_cuts, lambda ys, w: np.mean(ys), 0.0, params,
+                        seed, 3, collapse=False)
     return RegressionForestModel(X.shape[1], params, seed, trees)

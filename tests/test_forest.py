@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowal.forest
 from flowal import (
     Committee,
     Dataset,
@@ -31,6 +32,8 @@ from flowal.forest import (
     _Workspace,
     _best_split,
     _gini_of_cuts,
+    _grow_trees,
+    _majority,
     _midpoint,
     _sse_of_cuts,
     fit_regression_forest,
@@ -274,6 +277,14 @@ class TestFitForest:
         with pytest.raises(EmptyTrainingSet):
             fit_regression_forest(np.empty((0, 2)), np.empty(0), ForestParams(), 0)
 
+    def test_peak_memory_is_a_small_multiple_of_the_features(self, peak_bytes):
+        # many features and classes, as in flow data: the split scan's
+        # scratch buffers must not scale with features times classes
+        ds = generate_synthetic(SyntheticSpec(n_classes=15, per_class=400,
+                                              n_features=78, seed=0))
+        peak = peak_bytes(lambda: fit_forest(ds, ForestParams(n_trees=1), 0))
+        assert peak <= 3 * ds.features.nbytes
+
     def test_memory_grows_linearly_with_rows(self, peak_bytes):
         peaks = []
         for per_class in (500, 2000):
@@ -429,6 +440,22 @@ class TestForestParams:
             ForestParams(max_depth=-2)
         assert ForestParams(max_depth=0).max_depth == 0
 
+    @pytest.mark.parametrize("field", ["n_trees", "max_depth",
+                                       "min_samples_split", "features_per_split"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3"])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(InvalidParams):
+            ForestParams(**{field: value})
+        if field != "max_depth":
+            with pytest.raises(InvalidParams):
+                ForestParams(**{field: None})
+
+    def test_numpy_integers_are_integers(self):
+        params = ForestParams(n_trees=np.int64(3), max_depth=np.int32(2),
+                              min_samples_split=np.int64(4),
+                              features_per_split=np.int64(2))
+        assert params.n_trees == 3 and params.features_per_split == 2
+
     def test_sqrt_rule(self):
         assert ForestParams().resolve_features_per_split(41) == 6
         assert ForestParams().resolve_features_per_split(1) == 1
@@ -458,22 +485,27 @@ def reference_sse(cum, cut):
     return sse_l + sse_r
 
 
+def reference_cuts(X, payload, idx, f, regression):
+    """(sorted values, valid cut positions, impurity at each valid cut) of
+    feature f on the rows ``idx``, each a row of weight 1."""
+    v = X[idx, f]
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    cum = np.cumsum(payload[idx][order], axis=0)
+    cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+    return vs, cut, (reference_sse if regression else reference_gini)(cum, cut)
+
+
 def reference_best_split(X, payload, idx, feats, regression):
     """Per-feature split scan: one argsort, cumsum and impurity pass per
     candidate feature in ascending order, keeping strictly better impurities
     only (ties go to the lowest feature, then the lowest threshold)."""
-    sub = payload[idx]
     best_score = np.inf
     best = None
     for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
+        vs, cut, impurity = reference_cuts(X, payload, idx, f, regression)
+        if cut.size == 0:
             continue
-        cum = np.cumsum(sub[order], axis=0)
-        cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-        impurity = (reference_sse if regression else reference_gini)(cum, cut)
         j = int(np.argmin(impurity))
         if impurity[j] < best_score:
             best_score = float(impurity[j])
@@ -483,12 +515,14 @@ def reference_best_split(X, payload, idx, feats, regression):
 
 @st.composite
 def split_nodes(draw):
-    """One node of a tree's sample: (X, payload, idx, feats, regression).
+    """One node of a tree's sample: (X, weights, rows, idx, feats, regression).
 
-    Feature values are small integers over a scale, so cuts tie; rows repeat,
-    some columns are constant or copies of another (equal impurity across
-    features), nodes go down to 2 rows and k up to d.  ``idx`` is an
-    unordered subset of the sample's rows.
+    ``rows`` holds each sample row's unit payload (one-hot class or
+    (t, t * t)) and ``weights`` its integer weight, 1 for regression as the
+    regressor's rows are never collapsed.  Feature values are small integers
+    over a scale, so cuts tie; rows repeat, some columns are constant or
+    copies of another (equal impurity across features), nodes go down to 2
+    rows and k up to d.  ``idx`` is an unordered subset of the sample's rows.
     """
     d = draw(st.integers(1, 6))
     scale = draw(st.sampled_from([1.0, 3.0, 7.0]))
@@ -508,33 +542,135 @@ def split_nodes(draw):
     if regression:
         t = np.asarray(draw(st.lists(st.integers(-4, 4), min_size=n,
                                      max_size=n)), dtype=float) / scale
-        payload = np.column_stack([t, t * t])
+        rows = np.column_stack([t, t * t])
+        weights = np.ones(n, dtype=np.int64)
     else:
         n_classes = draw(st.integers(1, 5))
         labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
                                max_size=n))
-        payload = np.zeros((n, n_classes))
-        payload[np.arange(n), labels] = 1.0
+        rows = np.zeros((n, n_classes))
+        rows[np.arange(n), labels] = 1.0
+        weights = np.asarray(draw(st.lists(st.integers(1, 5), min_size=n,
+                                           max_size=n)))
     idx = np.asarray(draw(st.permutations(range(n))))[:draw(st.integers(2, n))]
     k = draw(st.integers(1, d))
     feats = np.sort(np.asarray(draw(st.permutations(range(d))))[:k])
-    return X, payload, idx, feats, regression
+    return X, weights, rows, idx, feats, regression
+
+
+def expand(X, weights, rows, idx):
+    """The node as unit-weight rows: each row repeated ``weights`` times,
+    its copies in ``idx`` order."""
+    first = np.cumsum(weights) - weights
+    expanded = np.concatenate([np.arange(first[r], first[r] + weights[r])
+                               for r in idx])
+    return (np.repeat(X, weights, axis=0), np.repeat(rows, weights, axis=0),
+            expanded)
+
+
+def scan(X, weights, rows, idx, feats, regression):
+    """``_best_split`` of the node, the weight trailing each payload row."""
+    payload = np.column_stack([rows * weights[:, None], weights])
+    ws = _Workspace(feats.size, X.shape[0], payload.shape[1])
+    cut_impurity = _sse_of_cuts if regression else _gini_of_cuts
+    return _best_split(np.ascontiguousarray(X.T), payload, idx,
+                       float(weights[idx].sum()), feats, cut_impurity, ws)
 
 
 class TestSplitScan:
     @settings(max_examples=400, deadline=None)
     @given(split_nodes())
     def test_matches_per_feature_reference(self, node):
-        X, payload, idx, feats, regression = node
-        ws = _Workspace(feats.size, X.shape[0], payload.shape[1])
-        cut_impurity = _sse_of_cuts if regression else _gini_of_cuts
-        split = _best_split(np.ascontiguousarray(X.T), payload, idx, feats,
-                            cut_impurity, ws)
-        expected = reference_best_split(X, payload, idx, feats, regression)
+        X, weights, rows, idx, feats, regression = node
+        split = scan(X, weights, rows, idx, feats, regression)
+        expected = reference_best_split(*expand(X, weights, rows, idx), feats,
+                                        regression)
         if expected is None:
             assert split is None
             return
-        f, thr, goes_left = split
+        f, thr, goes_left, left_weight = split
         assert (f, thr) == expected
         np.testing.assert_array_equal(goes_left, X[idx, f] <= thr)
         assert 0 < goes_left.sum() < idx.size
+        assert left_weight == weights[idx[goes_left]].sum()
+
+    @settings(max_examples=400, deadline=None)
+    @given(split_nodes())
+    def test_weighted_impurities_match_expanded_rows(self, node):
+        # bit for bit at every valid cut: a Gini divided by anything but the
+        # node's weight total would still pick the same split on most nodes
+        X, weights, rows, idx, feats, regression = node
+        Xe, rows_e, idx_e = expand(X, weights, rows, idx)
+        payload = np.column_stack([rows * weights[:, None], weights])
+        cut_impurity = _sse_of_cuts if regression else _gini_of_cuts
+        ws = _Workspace(1, idx.size, payload.shape[1])
+        for f in feats:
+            order = idx[np.argsort(X[idx, f], kind="stable")]
+            cum = np.cumsum(payload[order], axis=0)[None]
+            impurity = cut_impurity(cum, float(weights[idx].sum()), ws)[0]
+            valid = X[order[1:], f] > X[order[:-1], f]
+            _, _, expected = reference_cuts(Xe, rows_e, idx_e, f, regression)
+            np.testing.assert_array_equal(impurity[valid].view(np.int64),
+                                          expected.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_nodes(), st.data())
+    def test_feature_blocks_match_one_block(self, node, data):
+        X, weights, rows, idx, feats, regression = node
+        whole = scan(X, weights, rows, idx, feats, regression)
+        block = data.draw(st.integers(1, max(1, feats.size - 1)))
+        width = rows.shape[1] + 1
+        with pytest.MonkeyPatch.context() as patch:
+            # a node of m rows then scans its features ``block`` at a time
+            patch.setattr(flowal.forest, "_SCAN_CELLS", block * idx.size * width)
+            blocked = scan(X, weights, rows, idx, feats, regression)
+        if whole is None:
+            assert blocked is None
+            return
+        assert blocked[:2] == whole[:2] and blocked[3] == whole[3]
+        np.testing.assert_array_equal(blocked[2], whole[2])
+
+
+@st.composite
+def tree_cases(draw):
+    """(X, labels, n_classes, params, seed) for a small classifier forest.
+
+    Rows are copies of a few distinct rows of small integers, so bootstrap
+    samples repeat rows and every feature has tied values.
+    """
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    distinct = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                      max_size=d), min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=40))
+    X = np.asarray(distinct, dtype=float)[picks]
+    labels = np.asarray(draw(st.lists(st.integers(0, n_classes - 1),
+                                      min_size=len(picks),
+                                      max_size=len(picks))))
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
+        min_samples_split=draw(st.integers(2, 8)),
+        features_per_split=draw(st.integers(1, d)),
+        bootstrap=draw(st.booleans()))
+    return X, labels, n_classes, params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCollapsedBootstrap:
+    @settings(max_examples=500, deadline=None)
+    @given(tree_cases())
+    def test_trees_match_unit_weight_rows(self, case):
+        X, labels, n_classes, params, seed = case
+        schema = FeatureSchema(tuple(f"f{j}" for j in range(X.shape[1])),
+                               tuple(f"c{c}" for c in range(n_classes)))
+        collapsed = fit_forest(Dataset(schema, X, labels), params, seed).trees
+        onehot = np.eye(n_classes)
+        raw = _grow_trees(X, labels,
+                          lambda ys, w: np.column_stack([onehot[ys], w]),
+                          _gini_of_cuts, _majority, -1, params, seed, 0,
+                          collapse=False)
+        assert len(collapsed) == len(raw)
+        for a, b in zip(collapsed, raw):
+            for name in _Tree.__slots__:
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
