@@ -64,9 +64,10 @@ weighted = information_density(scores, Z, beta=1.0)
 moved = int(np.argmax(np.abs(np.argsort(-scores) - np.argsort(-weighted))))
 print(f"\ndensity beta=1 changed the rank of position {moved} most")
 
-# LAL: a regressor trained on simulated labeling outcomes forecasts how much
-# test error a label would remove; selection takes the biggest forecast.
-lal = LalParams(mc_rounds=8, seed=0, regressor=ForestParams(n_trees=20))
+# LAL: a regression forest of `trees` trees, trained on simulated labeling
+# outcomes, forecasts how much test error a label would remove; selection
+# takes the biggest forecast.
+lal = LalParams(mc_rounds=8, seed=0, trees=20)
 regressor = train_lal_regressor(lal)
 batch = select_batch(StrategyConfig(kind="lal", lal_params=lal), model, pool,
                      k=5, lal_regressor=regressor)

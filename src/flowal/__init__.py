@@ -55,7 +55,6 @@ from .forest import (
 from .metrics import ConfusionMatrix, TimingRecord, confusion, f1_macro, tar, ttr
 from .strategies import (
     LalParams,
-    LalRegressor,
     StrategyConfig,
     entropy,
     information_density,

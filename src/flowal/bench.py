@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -49,15 +50,16 @@ from .engine import (
     run_pool_loop,
 )
 from .errors import ConfigError, EmptyReport
-from .forest import ForestParams, evaluate_accuracy, fit_forest
+from .forest import (
+    ForestParams,
+    RegressionForestModel,
+    _is_int,
+    evaluate_accuracy,
+    fit_forest,
+)
 from .metrics import TimingRecord, tar, ttr
 from .rng import derive_seed, make_rng
-from .strategies import (
-    LalParams,
-    LalRegressor,
-    StrategyConfig,
-    train_lal_regressor,
-)
+from .strategies import LalParams, StrategyConfig, train_lal_regressor
 
 DEFAULT_FRACTIONS = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64)
 
@@ -123,7 +125,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(self.seeds)
+        if not all(_is_int(s) for s in seeds):
+            raise ConfigError(f"seeds must be integers, got {seeds!r}")
+        # int() turns numpy integer seeds into plain ones
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
@@ -136,10 +142,11 @@ class ExperimentConfig:
             raise ConfigError("fractions must be strictly increasing")
         if not 0 < self.test_fraction < 1:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
-        if self.seed_size is not None and self.seed_size < 1:
-            raise ConfigError("seed_size must be >= 1 when given")
+        if not _is_int(self.batch) or self.batch < 1:
+            raise ConfigError("batch must be an int >= 1")
+        if self.seed_size is not None and not (_is_int(self.seed_size)
+                                               and self.seed_size >= 1):
+            raise ConfigError("seed_size must be an int >= 1 when given")
         if not 0 <= self.oracle_noise <= 1:
             raise ConfigError("oracle_noise must be in [0, 1]")
         names = [s.display_name for s in self.strategies]
@@ -170,7 +177,7 @@ def run_experiment(config: ExperimentConfig,
     n_classes = dataset.schema.n_classes
     rows: List[ExperimentRow] = []
     # trained on first use; LalParams is frozen, so equal params share one
-    lal: Dict[LalParams, Tuple[LalRegressor, float]] = {}
+    lal: Dict[LalParams, Tuple[RegressionForestModel, float]] = {}
     # the train pool's size does not depend on the seed, so every budget is
     # checked once, before the first fit
     pool_size = len(holdout_split(n, config.test_fraction, config.seeds[0])[1])
@@ -365,5 +372,9 @@ def load_rows(path) -> List[ExperimentRow]:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{path}: report field {field.name!r} must be "
                                   f"{what}, got {value!r}")
+            # json reads NaN, Infinity and -Infinity as floats
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path}: report field {field.name!r} must be "
+                                  f"finite, got {value!r}")
         rows.append(row)
     return rows

@@ -128,7 +128,7 @@ KEYS = {
     "density.beta": (_NUMBER, "1.0", "beta"),
     "density.base": (_TEXT, "entropy", "base_informativeness"),
     "lal.mc_rounds": (_INT, "40", "mc_rounds"),
-    "lal.trees": (_INT, "40", None),
+    "lal.trees": (_INT, "40", "trees"),
     "lal.seed": (_INT, "0", "seed"),
     # learner
     "learner.trees": (_INT, "50", "n_trees"),
@@ -297,8 +297,7 @@ def _strategies(cfg: _Config) -> List[StrategyConfig]:
     if not kinds:
         raise ConfigError("strategies must name at least one strategy")
     with _naming("lal", InvalidParams):
-        lal = LalParams(regressor=ForestParams(n_trees=cfg.get("lal.trees")),
-                        **cfg.fields("lal"))
+        lal = LalParams(**cfg.fields("lal"))
     configs = []
     for kind in kinds:
         # each step sets one section's values on a config the steps before

@@ -29,11 +29,16 @@ from .errors import (
     InvalidThreshold,
     NoStoppingCriterion,
 )
-from .forest import ForestParams, evaluate_accuracy, fit_committee, fit_forest
+from .forest import (
+    ForestParams,
+    RegressionForestModel,
+    evaluate_accuracy,
+    fit_committee,
+    fit_forest,
+)
 from .rng import derive_seed, make_rng
 from .strategies import (
     UNCERTAINTY_KINDS,
-    LalRegressor,
     StrategyConfig,
     needs_committee,
     select_batch,
@@ -280,7 +285,7 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
                   learner: ForestParams, oracle: Oracle, batch: int,
                   stop: StoppingCriteria, seed: int,
                   clock: Optional[Clock] = None,
-                  lal_regressor: Optional[LalRegressor] = None) -> RunHistory:
+                  lal_regressor: Optional[RegressionForestModel] = None) -> RunHistory:
     """Pool-based active learning until a criterion fires or the pool empties.
 
     Each iteration fits on the labeled set (a committee for QBC strategies, a

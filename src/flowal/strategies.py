@@ -20,7 +20,7 @@ toward the lowest pool index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .forest import (
     ForestParams,
     ProbabilityDistribution,
     RegressionForestModel,
+    _is_int,
     evaluate_accuracy,
     fit_forest,
     fit_regression_forest,
@@ -208,45 +209,25 @@ class LalParams:
 
     Each round draws a small synthetic classification task, fits a forest on
     a few labeled points, and measures the true held-out error change from
-    adding one more labeled candidate.  The regressor learns to map an
-    8-entry learning-state vector to that error reduction.
+    adding one more labeled candidate.  A regression forest of ``trees``
+    trees learns to map an 8-entry learning-state vector to that error
+    reduction.
     """
 
     mc_rounds: int = 40
-    regressor: ForestParams = ForestParams(n_trees=40)
+    trees: int = 40
     seed: int = 0
 
     def __post_init__(self):
-        if self.mc_rounds < 1:
-            raise InvalidParams("mc_rounds must be >= 1")
-
-
-class LalRegressor:
-    """Trained error-reduction forecaster plus its Monte-Carlo training pairs."""
-
-    def __init__(self, forest: RegressionForestModel,
-                 states: np.ndarray, targets: np.ndarray):
-        self.forest = forest
-        self.states = states
-        self.targets = targets
-
-    def predict_many(self, states: np.ndarray) -> np.ndarray:
-        return self.forest.predict_many(states)
-
-    def predict(self, state) -> float:
-        return float(self.predict_many(np.asarray(state, float)[None, :])[0])
-
-
-def _class_balance_entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    return float(_entropy_rows(counts / total))
+        if not _is_int(self.mc_rounds) or self.mc_rounds < 1:
+            raise InvalidParams("mc_rounds must be an int >= 1")
+        if not _is_int(self.trees) or self.trees < 1:
+            raise InvalidParams("trees must be an int >= 1")
 
 
 def lal_state_features(model: ForestModel, labeled_size: int,
                        candidate) -> np.ndarray:
-    """8-entry learning-state vector for one candidate.
+    """8-entry learning-state vector for one candidate; (m, 8) for m rows.
 
     Order: max probability, margin, entropy, across-tree vote variance,
     labeled-set size, labeled class-balance entropy, mean leaf depth reached,
@@ -254,18 +235,14 @@ def lal_state_features(model: ForestModel, labeled_size: int,
     """
     X = np.asarray(candidate, dtype=np.float64)
     if X.ndim == 1:
-        return _lal_state_matrix(model, labeled_size, X[None, :])[0]
-    return _lal_state_matrix(model, labeled_size, X)
-
-
-def _lal_state_matrix(model: ForestModel, labeled_size: int,
-                      X: np.ndarray) -> np.ndarray:
+        return lal_state_features(model, labeled_size, X[None, :])[0]
     counts, mean_depth = model.vote_counts_and_mean_depth(X)
     P = counts / model.n_trees
     # sum of per-class Bernoulli variances of the tree votes
     vote_var = 1.0 - np.sum(P * P, axis=1)
-    balance = _class_balance_entropy(model.train_class_counts)
-    states = np.column_stack([
+    c = model.train_class_counts
+    balance = _entropy_rows(c / max(c.sum(), 1))
+    return np.column_stack([
         P.max(axis=1),
         uncertainty_scores("margin", P),
         uncertainty_scores("entropy", P),
@@ -275,16 +252,15 @@ def _lal_state_matrix(model: ForestModel, labeled_size: int,
         mean_depth,
         np.linalg.norm(X, axis=1),
     ])
-    return states
 
 
-def train_lal_regressor(params: LalParams) -> LalRegressor:
-    """Run the Monte-Carlo simulation and fit the error-reduction regressor."""
+def _lal_training_pairs(params: LalParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Simulated (states, error reductions) pairs the regressor learns from."""
     rng = make_rng(params.seed, 4)
     inner = ForestParams(n_trees=12)
     states: List[np.ndarray] = []
     targets: List[float] = []
-    for round_no in range(params.mc_rounds):
+    for _ in range(params.mc_rounds):
         n_classes = int(rng.integers(2, 4))
         n_features = int(rng.integers(3, 7))
         per_class = int(rng.integers(20, 36))
@@ -308,8 +284,8 @@ def train_lal_regressor(params: LalParams) -> LalRegressor:
         base_error = 1.0 - evaluate_accuracy(model, test)
         n_candidates = min(8, len(pool) - n_labeled)
         candidates = n_labeled + np.arange(n_candidates)
-        states.append(_lal_state_matrix(model, n_labeled,
-                                        pool.features[candidates]))
+        states.append(lal_state_features(model, n_labeled,
+                                         pool.features[candidates]))
         for cand_index in candidates:
             extended = pool.subset(
                 np.concatenate([np.arange(n_labeled), [cand_index]])
@@ -317,20 +293,24 @@ def train_lal_regressor(params: LalParams) -> LalRegressor:
             refit = fit_forest(extended, inner, base_seed)
             reduction = base_error - (1.0 - evaluate_accuracy(refit, test))
             targets.append(reduction)
-    S = np.vstack(states)
-    t = np.asarray(targets)
-    forest = fit_regression_forest(S, t, params.regressor,
-                                   derive_seed(params.seed, 5))
-    return LalRegressor(forest, S, t)
+    return np.vstack(states), np.asarray(targets)
 
 
-def lal_score(regressor: LalRegressor, model: ForestModel,
+def train_lal_regressor(params: LalParams) -> RegressionForestModel:
+    """Run the Monte-Carlo simulation and fit the error-reduction regressor."""
+    states, targets = _lal_training_pairs(params)
+    return fit_regression_forest(states, targets,
+                                 ForestParams(n_trees=params.trees),
+                                 derive_seed(params.seed, 5))
+
+
+def lal_score(regressor: RegressionForestModel, model: ForestModel,
               labeled_size: int, candidate) -> float:
     """Forecast error reduction from labeling ``candidate``; higher is better."""
     if regressor is None:
         raise UntrainedRegressor("train the LAL regressor before scoring")
     state = lal_state_features(model, labeled_size, candidate)
-    return regressor.predict(state)
+    return float(regressor.predict_many(state[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -355,8 +335,9 @@ class StrategyConfig:
             raise InvalidParams(f"unknown strategy kind {self.kind!r}")
         if self.beta < 0:
             raise InvalidParams("beta must be >= 0")
-        if self.kind in _QBC_KINDS and self.committee_size < 2:
-            raise InvalidParams("QBC needs committee_size >= 2")
+        if self.kind in _QBC_KINDS and not (_is_int(self.committee_size)
+                                            and self.committee_size >= 2):
+            raise InvalidParams("QBC needs an int committee_size >= 2")
         if self.base_informativeness not in UNCERTAINTY_KINDS:
             raise InvalidParams(
                 "base_informativeness must be one of "
@@ -373,7 +354,7 @@ def needs_committee(config: StrategyConfig) -> bool:
 
 
 def score_pool(config: StrategyConfig, state, pool: "PoolState",
-               lal_regressor: Optional[LalRegressor] = None) -> np.ndarray:
+               lal_regressor: Optional[RegressionForestModel] = None) -> np.ndarray:
     """Score vector aligned with ``pool.unlabeled`` (random kind excluded).
 
     The lal kind scores with ``lal_regressor``, which the caller trains.
@@ -403,13 +384,13 @@ def score_pool(config: StrategyConfig, state, pool: "PoolState",
     if kind == "lal":
         if lal_regressor is None:
             raise UntrainedRegressor("train the LAL regressor before scoring")
-        states = _lal_state_matrix(state, len(pool.labeled), XU)
+        states = lal_state_features(state, len(pool.labeled), XU)
         return lal_regressor.predict_many(states)
     raise InvalidParams(f"{kind!r} has no score vector")
 
 
 def select_batch(config: StrategyConfig, state, pool: "PoolState", k: int,
-                 lal_regressor: Optional[LalRegressor] = None) -> List[int]:
+                 lal_regressor: Optional[RegressionForestModel] = None) -> List[int]:
     """Pick k distinct unlabeled indices under the configured policy.
 
     Scoring strategies return indices best-first; equal scores fall back to

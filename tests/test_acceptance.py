@@ -132,8 +132,7 @@ class TestCriterion3SelectionOracle:
     def test_select_batch_matches_full_sort_oracle(self):
         kinds = ("entropy", "least_confidence", "margin", "qbc_vote_entropy",
                  "qbc_kl", "density", "lal", "random")
-        lal_params = LalParams(mc_rounds=2, seed=5,
-                               regressor=ForestParams(n_trees=8))
+        lal_params = LalParams(mc_rounds=2, seed=5, trees=8)
         regressor = train_lal_regressor(lal_params)
         rng = np.random.default_rng(99)
         cases = 0
@@ -268,8 +267,7 @@ class TestCriterion6StrategyCostOrdering:
             t_entropy.append(timed(StrategyConfig(kind="entropy"), model))
             t_qbc.append(timed(StrategyConfig(kind="qbc_vote_entropy",
                                               committee_size=5), committee))
-            lal_params = LalParams(mc_rounds=6, seed=rep,
-                                   regressor=ForestParams(n_trees=20))
+            lal_params = LalParams(mc_rounds=6, seed=rep, trees=20)
             t0 = time.perf_counter()
             regressor = train_lal_regressor(lal_params)
             select_batch(StrategyConfig(kind="lal", lal_params=lal_params),

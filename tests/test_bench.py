@@ -2,6 +2,7 @@ import csv
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import flowal.bench
@@ -22,7 +23,7 @@ from flowal import (
 from flowal.bench import rows_to_csv, rows_to_json, rows_to_md
 from flowal.cli import cli_main
 from flowal.engine import IterationRecord, RunHistory, StopReason
-from flowal.errors import ConfigError, EmptyReport
+from flowal.errors import ConfigError, EmptyReport, InvalidParams
 from tests.test_engine import FakeClock
 
 SOURCE = SyntheticSpec(n_classes=3, per_class=200, n_features=4,
@@ -135,6 +136,21 @@ class TestRunExperiment:
             small_config(strategies=(StrategyConfig(kind="entropy"),
                                      StrategyConfig(kind="entropy")))
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda v: LalParams(mc_rounds=v), InvalidParams),
+        (lambda v: LalParams(trees=v), InvalidParams),
+        (lambda v: StrategyConfig(kind="qbc_kl", committee_size=v), InvalidParams),
+        (lambda v: small_config(seeds=(v,)), ConfigError),
+        (lambda v: small_config(batch=v), ConfigError),
+        (lambda v: small_config(seed_size=v), ConfigError),
+    ], ids=["mc_rounds", "trees", "committee_size", "seeds", "batch",
+            "seed_size"])
+    def test_integer_settings_reject_floats_and_bools(self, build, error):
+        build(np.int64(3))  # a numpy integer is an integer
+        for value in (2.5, True):
+            with pytest.raises(error):
+                build(value)
+
     def test_budget_larger_than_pool_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(fractions=(0.9,), seeds=(0,)))
@@ -191,7 +207,7 @@ class TestRunExperiment:
 
 
 def tiny_lal(seed=0):
-    return LalParams(mc_rounds=1, regressor=ForestParams(n_trees=3), seed=seed)
+    return LalParams(mc_rounds=1, trees=3, seed=seed)
 
 
 def lal_strategies(*params):

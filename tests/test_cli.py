@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -111,9 +112,6 @@ def test_key_defaults_are_the_library_defaults():
         if field in library[section]:
             parsed[key] = fields[section][field]
             expected[key] = library[section][field]
-    # lal.trees sets the regressor's n_trees, not a field of LalParams
-    parsed["lal.trees"] = config.get("lal.trees")
-    expected["lal.trees"] = LalParams().regressor.n_trees
     parsed["fractions"] = tuple(parsed["fractions"])
     assert parsed == expected
     # keys that feed a required field, or no library field at all
@@ -205,6 +203,19 @@ class TestUsageErrors:
         assert err.startswith(f"config error: {section}"), err
         assert "Traceback" not in err
 
+    def test_lal_trees_checked_before_any_data_is_read(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(flowal.cli, "run_experiment", spy)
+        cfg = write_config(tmp_path, "data.csv = missing.csv\n"
+                           "data.label_column = label\nlal.trees = 0\n")
+        assert cli_main(["run", "--config", cfg, "--quiet",
+                         "--output", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == \
+            "config error: lal: trees must be an int >= 1\n"
+
     def test_non_finite_number_names_its_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SYNTH_CONFIG + "density.beta = inf\n")
         assert cli_main(["run", "--config", cfg, "--quiet",
@@ -283,6 +294,10 @@ class TestUsageErrors:
         ("tar", None, "'tar' must be a number, got None"),
         ("time_s", True, "'time_s' must be a number, got True"),
         ("seed", 1.0, "'seed' must be an integer, got 1.0"),
+        # json reads NaN, Infinity and -Infinity as floats
+        ("accuracy", math.nan, "'accuracy' must be finite, got nan"),
+        ("ttr", math.inf, "'ttr' must be finite, got inf"),
+        ("time_s", -math.inf, "'time_s' must be finite, got -inf"),
     ])
     def test_report_field_of_wrong_type_exits_1(self, tmp_path, capsys,
                                                  field, value, message):
@@ -526,6 +541,8 @@ stream.budget = 10
         ("strategy.seed = 3", lambda c: [s.seed for s in c.strategies] == [3, 3]),
         ("lal.seed = 4",
          lambda c: [s.lal_params.seed for s in c.strategies] == [4, 4]),
+        ("lal.trees = 7",
+         lambda c: [s.lal_params.trees for s in c.strategies] == [7, 7]),
         ("learner.min_samples_split = 5",
          lambda c: c.learner.min_samples_split == 5),
         ("learner.features_per_split = 2",

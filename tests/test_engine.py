@@ -626,7 +626,7 @@ class TestTotalQueries:
         ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=40,
                                               n_features=3, seed=0))
         pool = make_pool(ds, 0.25, 10, 0)
-        lal = LalParams(mc_rounds=2, regressor=ForestParams(n_trees=4))
+        lal = LalParams(mc_rounds=2, trees=4)
         strategy = StrategyConfig(kind=kind, committee_size=3, lal_params=lal)
         # a ragged last batch under a cap, then one that empties the pool
         for stop, batch in [(StoppingCriteria(max_queries=23), 5),

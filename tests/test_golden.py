@@ -41,7 +41,7 @@ from tests.test_engine import FakeClock
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-SMALL_LAL = LalParams(mc_rounds=3, regressor=ForestParams(n_trees=5), seed=2)
+SMALL_LAL = LalParams(mc_rounds=3, trees=5, seed=2)
 
 
 def _tree_digest(trees) -> str:

@@ -12,7 +12,6 @@ from flowal import (
     FeatureSchema,
     ForestParams,
     LalParams,
-    LalRegressor,
     PoolState,
     StrategyConfig,
     SyntheticSpec,
@@ -44,7 +43,7 @@ from flowal.errors import (
     UntrainedRegressor,
 )
 from flowal.forest import _Tree, fit_regression_forest
-from flowal.strategies import _lal_state_matrix, uncertainty_scores
+from flowal.strategies import _lal_training_pairs, uncertainty_scores
 from tests.test_forest import constant_tree, hand_model
 
 
@@ -217,7 +216,7 @@ def test_scoring_memory_grows_linearly_with_the_pool(peak_bytes, kind):
     else:
         state = fit_forest(ds.subset(labeled), ForestParams(n_trees=4), 0)
     regressor = train_lal_regressor(LalParams(
-        mc_rounds=2, regressor=ForestParams(n_trees=4))) if kind == "lal" else None
+        mc_rounds=2, trees=4)) if kind == "lal" else None
     config = StrategyConfig(kind=kind)
     pools = [PoolState(ds, labeled, np.arange(40, m), ()) for m in (2000, 8000)]
     peaks = [peak_bytes(lambda: score_pool(config, state, pool, regressor))
@@ -381,29 +380,32 @@ class TestInformationDensity:
 
 def constant_lal_regressor(params, target):
     """A regressor fit on ``params``' simulated states, every target ``target``."""
-    states = train_lal_regressor(params).states
+    states, _ = _lal_training_pairs(params)
     targets = np.full(len(states), target)
-    forest = fit_regression_forest(states, targets, params.regressor, 0)
-    return LalRegressor(forest, states, targets)
+    return fit_regression_forest(states, targets,
+                                 ForestParams(n_trees=params.trees), 0)
 
 
 class TestLal:
     def test_minimal_run_shapes(self):
-        reg = train_lal_regressor(LalParams(mc_rounds=1, seed=0,
-                                            regressor=ForestParams(n_trees=5)))
-        assert reg.states.shape[0] >= 1
-        assert reg.states.shape[1] == 8
-        assert reg.targets.shape == (reg.states.shape[0],)
+        states, targets = _lal_training_pairs(LalParams(mc_rounds=1, seed=0))
+        assert states.shape[0] >= 1
+        assert states.shape[1] == 8
+        assert targets.shape == (states.shape[0],)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_trees_sets_the_regressor_size(self, k):
+        assert len(train_lal_regressor(LalParams(mc_rounds=1, trees=k)).trees) == k
 
     def test_constant_target_hook(self):
         reg = constant_lal_regressor(
-            LalParams(mc_rounds=2, seed=1, regressor=ForestParams(n_trees=10)),
+            LalParams(mc_rounds=2, seed=1, trees=10),
             0.125)
         probe = np.random.default_rng(0).normal(size=(20, 8))
         np.testing.assert_allclose(reg.predict_many(probe), 0.125, atol=1e-6)
 
     def test_deterministic_in_seed(self):
-        params = LalParams(mc_rounds=3, seed=9, regressor=ForestParams(n_trees=8))
+        params = LalParams(mc_rounds=3, seed=9, trees=8)
         probe = np.random.default_rng(1).normal(size=(10, 8))
         a = train_lal_regressor(params).predict_many(probe)
         b = train_lal_regressor(params).predict_many(probe)
@@ -451,10 +453,11 @@ class TestLal:
         hi_means, lo_means = [], []
         all_states, all_targets = [], []
         for seed in range(10):
-            reg = train_lal_regressor(LalParams(
-                mc_rounds=10, seed=seed, regressor=ForestParams(n_trees=25)))
-            all_states.append(reg.states)
-            all_targets.append(reg.targets)
+            params = LalParams(mc_rounds=10, seed=seed, trees=25)
+            reg = train_lal_regressor(params)
+            states, targets = _lal_training_pairs(params)
+            all_states.append(states)
+            all_targets.append(targets)
             hi_means.append(reg.predict_many(
                 lal_state_features(model, 15, uncertain)).mean())
             lo_means.append(reg.predict_many(
@@ -468,8 +471,11 @@ class TestLal:
         assert np.mean(hi_means) >= np.mean(lo_means)
 
     def test_invalid_params(self):
+        # floats and bools: test_bench.py's integer-settings test
         with pytest.raises(InvalidParams):
             LalParams(mc_rounds=0)
+        with pytest.raises(InvalidParams):
+            LalParams(trees=0)
 
     def test_untrained_regressor(self):
         model = hand_model([constant_tree(0)])
@@ -505,7 +511,7 @@ class TestLal:
                      max_size=d).map(np.array))
         X = np.array(data.draw(st.lists(row, min_size=1, max_size=12)))
         labeled_size = data.draw(st.integers(1, 40))
-        batch = _lal_state_matrix(model, labeled_size, X)
+        batch = lal_state_features(model, labeled_size, X)
         assert batch.shape == (len(X), 8)
         for i, x in enumerate(X):
             single = lal_state_features(model, labeled_size, x)
@@ -621,7 +627,7 @@ class TestSelectBatch:
         pool = tiny_pool(9)
         model = fit_forest(pool.dataset.subset(pool.labeled),
                            ForestParams(n_trees=5), 1)
-        params = LalParams(mc_rounds=1, seed=2, regressor=ForestParams(n_trees=6))
+        params = LalParams(mc_rounds=1, seed=2, trees=6)
         reg = constant_lal_regressor(params, 0.5)
         out = select_batch(StrategyConfig(kind="lal", lal_params=params),
                            model, pool, 5, lal_regressor=reg)
@@ -631,7 +637,7 @@ class TestSelectBatch:
         pool = tiny_pool(6)
         model = fit_forest(pool.dataset.subset(pool.labeled),
                            ForestParams(n_trees=5), 1)
-        params = LalParams(mc_rounds=2, seed=3, regressor=ForestParams(n_trees=8))
+        params = LalParams(mc_rounds=2, seed=3, trees=8)
         reg = train_lal_regressor(params)
         scores = [lal_score(reg, model, len(pool.labeled),
                             pool.dataset.features[i]) for i in pool.unlabeled]
