@@ -34,6 +34,7 @@ from .dataset import (
     Dataset,
     IngestionConfig,
     SyntheticSpec,
+    _is_int,
     generate_synthetic,
     holdout_split,
     load_csv,
@@ -53,7 +54,6 @@ from .errors import ConfigError, EmptyReport
 from .forest import (
     ForestParams,
     RegressionForestModel,
-    _is_int,
     evaluate_accuracy,
     fit_forest,
 )

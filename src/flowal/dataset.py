@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,11 @@ from .errors import (
     SchemaMismatch,
 )
 from .rng import make_rng
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True trees or split sizes are mistakes
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_classes", "per_class", "n_features", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be an int")
+        for name in ("class_mean_separation", "noise_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite")
         if self.n_classes < 2:
             raise InvalidSpec("n_classes must be >= 2")
         if self.per_class < 1:
@@ -152,11 +164,15 @@ class SyntheticSpec:
             raise InvalidSpec("noise_stddev must be >= 0")
         total = self.n_classes * self.per_class
         if self.drift is not None:
+            if not _is_int(self.drift.onset_index):
+                raise InvalidSpec("drift onset_index must be an int")
             if not 0 <= self.drift.onset_index <= total:
                 raise InvalidSpec("drift onset_index outside [0, record count]")
             shift = np.atleast_1d(np.asarray(self.drift.mean_shift, dtype=np.float64))
             if shift.ndim != 1 or shift.size not in (1, self.n_features):
                 raise InvalidSpec("mean_shift must be scalar or length n_features")
+            if not np.isfinite(shift).all():
+                raise InvalidSpec("mean_shift must be finite")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ making a run's history (minus wall-clock fields) a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -21,7 +22,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, holdout_split, subset_size
+from .dataset import Dataset, _is_int, holdout_split, subset_size
 from .errors import (
     EmptyStream,
     IndexOutOfRange,
@@ -79,6 +80,8 @@ class PoolState:
 def make_pool(dataset: Dataset, test_fraction: float, n_seed: int,
               seed: int) -> PoolState:
     """Shuffle a dataset into (test, seed-labeled, unlabeled) index sets."""
+    if not _is_int(n_seed):
+        raise InvalidPool(f"seed size must be an int, got {n_seed!r}")
     test, rest = holdout_split(len(dataset), test_fraction, seed)
     if not 0 < n_seed <= rest.size:
         raise InvalidPool(f"seed size {n_seed} does not fit the train pool")
@@ -101,6 +104,8 @@ class Oracle:
     def __post_init__(self):
         if not 0.0 <= self.noise_rate <= 1.0:
             raise InvalidThreshold("noise_rate must be in [0, 1]")
+        if not _is_int(self.seed):
+            raise InvalidThreshold("seed must be an int")
 
 
 def oracle_label(oracle: Oracle, index: int) -> int:
@@ -151,11 +156,21 @@ class StoppingCriteria:
             raise NoStoppingCriterion("set at least one stopping criterion")
         if self.accuracy_threshold is not None and not 0 < self.accuracy_threshold <= 1:
             raise NoStoppingCriterion("accuracy_threshold must be in (0, 1]")
-        if self.max_queries is not None and self.max_queries < 0:
-            raise NoStoppingCriterion("max_queries must be >= 0")
-        if self.time_budget is not None and self.time_budget < 0:
-            raise NoStoppingCriterion("time_budget must be >= 0")
+        if self.max_queries is not None:
+            if not _is_int(self.max_queries):
+                raise NoStoppingCriterion("max_queries must be an int")
+            if self.max_queries < 0:
+                raise NoStoppingCriterion("max_queries must be >= 0")
+        if self.time_budget is not None:
+            if not math.isfinite(self.time_budget):
+                raise NoStoppingCriterion("time_budget must be finite")
+            if self.time_budget < 0:
+                raise NoStoppingCriterion("time_budget must be >= 0")
         if self.stabilization is not None:
+            if not _is_int(self.stabilization.window):
+                raise NoStoppingCriterion("stabilization window must be an int")
+            if not math.isfinite(self.stabilization.epsilon):
+                raise NoStoppingCriterion("stabilization epsilon must be finite")
             if self.stabilization.window < 1 or self.stabilization.epsilon < 0:
                 raise NoStoppingCriterion("stabilization needs window >= 1, epsilon >= 0")
 
@@ -346,6 +361,12 @@ class StreamConfig:
     def __post_init__(self):
         if self.measure not in UNCERTAINTY_KINDS:
             raise InvalidThreshold(f"unknown stream measure {self.measure!r}")
+        if not math.isfinite(self.threshold):
+            raise InvalidThreshold("threshold must be finite")
+        if not _is_int(self.retrain_every):
+            raise InvalidThreshold("retrain_every must be an int")
+        if self.max_label_budget is not None and not _is_int(self.max_label_budget):
+            raise InvalidThreshold("max_label_budget must be an int")
         if self.threshold < 0:
             raise InvalidThreshold("threshold must be >= 0")
         if self.max_label_budget is not None and self.max_label_budget < 0:

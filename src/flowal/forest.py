@@ -18,13 +18,12 @@ Determinism rules baked in here:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema
+from .dataset import Dataset, FeatureSchema, _is_int
 from .errors import (
     DimensionMismatch,
     EmptyTestSet,
@@ -61,11 +60,6 @@ class ProbabilityDistribution:
 
     def __repr__(self) -> str:
         return f"ProbabilityDistribution({self.probs.tolist()})"
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True trees or split sizes are mistakes
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -128,8 +122,8 @@ class _Tree:
         """Leaf index reached by every row of X.
 
         Rows are read from the feature-major ``X.T``, a copy unless X is in
-        Fortran order, so a caller routing X through many trees passes
-        ``np.asfortranarray(X)`` to copy it once.
+        Fortran order, so models route the feature-major matrix that
+        ``_check_matrix`` returns and no tree copies X again.
         """
         Xt = np.ascontiguousarray(X.T)
         feature = self.feature.tolist()
@@ -384,28 +378,23 @@ def _majority(labels: np.ndarray, weights: np.ndarray) -> int:
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
-    """X as a float (m, n_features) matrix."""
+    """X as a feature-major (Fortran-order) float (m, n_features) matrix.
+
+    Routing reads X one feature at a time, so this is the one copy of X a
+    prediction makes; a matrix it already returned passes through uncopied.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise DimensionMismatch(f"expected {n_features} features, got shape {X.shape}")
-    return X
-
-
-def _leaves(trees: Sequence[_Tree], X: np.ndarray):
-    """Yield (tree, leaf ids of X's rows) for each tree, in tree order."""
-    # feature-major once, so no tree copies X again
-    Xf = np.asfortranarray(X)
-    for tree in trees:
-        yield tree, tree.apply(Xf)
+    return np.asfortranarray(X)
 
 
 class ForestModel:
     """Fitted random-forest classifier; immutable after construction."""
 
-    def __init__(self, schema: FeatureSchema, params: ForestParams, seed: int,
+    def __init__(self, schema: FeatureSchema, seed: int,
                  trees: Sequence[_Tree], train_class_counts: np.ndarray):
         self.schema = schema
-        self.params = params
         self.seed = seed
         self.trees = tuple(trees)
         self.train_class_counts = train_class_counts
@@ -431,7 +420,8 @@ class ForestModel:
         total = np.zeros(m) if with_depth else None
         # each row's offset in the flat counts; a row occurs once per tree
         starts = np.arange(m) * self.schema.n_classes
-        for tree, leaves in _leaves(self.trees, X):
+        for tree in self.trees:
+            leaves = tree.apply(X)
             counts.reshape(-1)[starts + tree.value[leaves]] += 1
             if with_depth:
                 total += tree.depth[leaves]
@@ -468,7 +458,7 @@ def fit_forest(labeled: Dataset, params: ForestParams, seed: int) -> ForestModel
     trees = _grow_trees(labeled.features, labeled.labels,
                         lambda ys, w: onehot[ys] * w[:, None], _gini_of_cuts,
                         _majority, -1, params, seed, 0, collapse=True)
-    return ForestModel(labeled.schema, params, seed, trees, labeled.class_counts())
+    return ForestModel(labeled.schema, seed, trees, labeled.class_counts())
 
 
 class Committee:
@@ -488,16 +478,16 @@ class Committee:
     def __len__(self) -> int:
         return len(self.members)
 
-    def member_votes(self, X) -> np.ndarray:
-        """(C, m) matrix of each member's predicted class per row."""
-        return np.stack([m.predict_many(X) for m in self.members])
-
     def member_probas(self, X) -> np.ndarray:
-        """(C, m, n_classes) member vote fractions, filled member by member."""
+        """(C, m, n_classes) member vote fractions, filled member by member.
+
+        X is checked and made feature-major once; every member's
+        ``vote_counts`` routes that matrix as it is.
+        """
         X = _check_matrix(X, self.schema.n_features)
         out = np.empty((len(self.members), X.shape[0], self.schema.n_classes))
         for member, probs in zip(self.members, out):
-            probs[...] = member.predict_proba_many(X)
+            np.divide(member.vote_counts(X), member.n_trees, out=probs)
         return out
 
     def predict_proba_many(self, X) -> np.ndarray:
@@ -543,18 +533,15 @@ def evaluate_accuracy(model, test: Dataset) -> float:
 class RegressionForestModel:
     """Random-forest regressor (mean-leaf CART on variance splits)."""
 
-    def __init__(self, n_features: int, params: ForestParams, seed: int,
-                 trees: Sequence[_Tree]):
+    def __init__(self, n_features: int, trees: Sequence[_Tree]):
         self.n_features = n_features
-        self.params = params
-        self.seed = seed
         self.trees = tuple(trees)
 
     def predict_many(self, X) -> np.ndarray:
         X = _check_matrix(X, self.n_features)
         total = np.zeros(X.shape[0])
-        for tree, leaves in _leaves(self.trees, X):
-            total += tree.value[leaves]
+        for tree in self.trees:
+            total += tree.value[tree.apply(X)]
         return total / len(self.trees)
 
 
@@ -572,4 +559,4 @@ def fit_regression_forest(X, targets, params: ForestParams,
     trees = _grow_trees(X, t, lambda ys, w: np.column_stack([ys, ys * ys, w]),
                         _sse_of_cuts, lambda ys, w: np.mean(ys), 0.0, params,
                         seed, 3, collapse=False)
-    return RegressionForestModel(X.shape[1], params, seed, trees)
+    return RegressionForestModel(X.shape[1], trees)

@@ -19,12 +19,14 @@ toward the lowest pool index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import SyntheticSpec, generate_synthetic, holdout_split, standardize
+from .dataset import (SyntheticSpec, _is_int, generate_synthetic,
+                      holdout_split, standardize)
 from .errors import (
     BatchTooLarge,
     EmptyCommittee,
@@ -40,7 +42,6 @@ from .forest import (
     ForestParams,
     ProbabilityDistribution,
     RegressionForestModel,
-    _is_int,
     evaluate_accuracy,
     fit_forest,
     fit_regression_forest,
@@ -223,6 +224,8 @@ class LalParams:
             raise InvalidParams("mc_rounds must be an int >= 1")
         if not _is_int(self.trees) or self.trees < 1:
             raise InvalidParams("trees must be an int >= 1")
+        if not _is_int(self.seed):
+            raise InvalidParams("seed must be an int")
 
 
 def lal_state_features(model: ForestModel, labeled_size: int,
@@ -333,6 +336,10 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise InvalidParams(f"unknown strategy kind {self.kind!r}")
+        if not _is_int(self.seed):
+            raise InvalidParams("seed must be an int")
+        if not math.isfinite(self.beta):
+            raise InvalidParams("beta must be finite")
         if self.beta < 0:
             raise InvalidParams("beta must be >= 0")
         if self.kind in _QBC_KINDS and not (_is_int(self.committee_size)
@@ -366,13 +373,15 @@ def score_pool(config: StrategyConfig, state, pool: "PoolState",
     kind = config.kind
     if kind in UNCERTAINTY_KINDS:
         return uncertainty_scores(kind, state.predict_proba_many(XU))
-    if kind == "qbc_vote_entropy":
-        committee = _require_committee(state)
-        return _vote_entropy_rows(committee.member_votes(XU),
-                                  committee.schema.n_classes)
-    if kind == "qbc_kl":
-        member = _require_committee(state).member_probas(XU)  # (C, m, n)
-        return _kl_rows(np.swapaxes(member, 0, 1))
+    if kind in _QBC_KINDS:
+        if not isinstance(state, Committee):
+            raise InvalidParams("QBC strategies need a Committee state")
+        if kind == "qbc_kl":  # _kl_rows reads the (C, m, n) stack as (m, C, n)
+            return _kl_rows(np.swapaxes(state.member_probas(XU), 0, 1))
+        # a member votes for its top class, ties to the lowest, as it
+        # predicts; the stack is freed before the votes are scored
+        return _vote_entropy_rows(state.member_probas(XU).argmax(axis=2),
+                                  state.schema.n_classes)
     if kind == "density":
         base = uncertainty_scores(config.base_informativeness,
                                   state.predict_proba_many(XU))
@@ -413,9 +422,3 @@ def select_batch(config: StrategyConfig, state, pool: "PoolState", k: int,
     key = scores if config.kind == "margin" else -scores
     order = np.argsort(key, kind="stable")  # stable: ties keep ascending index
     return [int(U[i]) for i in order[:k]]
-
-
-def _require_committee(state) -> Committee:
-    if not isinstance(state, Committee):
-        raise InvalidParams("QBC strategies need a Committee state")
-    return state

@@ -370,7 +370,7 @@ class TestCriterion8InvariantSuites:
         ones = single_class.subset(np.nonzero(single_class.labels == 1)[0])
         committee = fit_committee(ones, 4, ForestParams(n_trees=5), 1)
         probe = rng.normal(size=(12, 2))
-        votes = committee.member_votes(probe)
+        votes = committee.member_probas(probe).argmax(axis=2)
         for col in range(probe.shape[0]):
             assert vote_entropy(votes[:, col], 2) == 0.0
         member_probs = [m.predict_proba(probe[0]) for m in committee.members]

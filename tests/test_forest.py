@@ -56,7 +56,7 @@ def threshold_tree(feature, threshold, left_label, right_label):
 
 def hand_model(trees, schema=SCHEMA2):
     counts = np.zeros(schema.n_classes, dtype=np.int64)
-    return ForestModel(schema, ForestParams(n_trees=len(trees)), 0, trees, counts)
+    return ForestModel(schema, 0, trees, counts)
 
 
 def nearest_centroid_accuracy(train, test):
@@ -137,8 +137,7 @@ class TestPredict:
             model.predict(np.zeros(3))
         with pytest.raises(DimensionMismatch):
             model.predict_proba(np.zeros((2, 2)))
-        regressor = RegressionForestModel(2, ForestParams(n_trees=1), 0,
-                                          [constant_tree(0.5)])
+        regressor = RegressionForestModel(2, [constant_tree(0.5)])
         for rows in (np.zeros((4, 3)), np.zeros(2)):
             with pytest.raises(DimensionMismatch):
                 regressor.predict_many(rows)
@@ -227,8 +226,7 @@ class TestRouting:
         # regression payloads on the same structures, summed in tree order
         regression = [_Tree(t.feature, t.threshold, t.left, t.right,
                             t.value / 3.0, t.depth) for t in trees]
-        model = RegressionForestModel(d, ForestParams(n_trees=len(trees)), 0,
-                                      regression)
+        model = RegressionForestModel(d, regression)
         expected = [sum(t.value[leaf[i]] for t, leaf in zip(regression, leaves))
                     / len(trees) for i in range(len(X))]
         np.testing.assert_array_equal(model.predict_many(X),
@@ -356,15 +354,16 @@ class TestCommittee:
         ds = Dataset(SCHEMA2, np.random.default_rng(1).normal(size=(10, 2)),
                      np.zeros(10, dtype=int))
         committee = fit_committee(ds, 4, ForestParams(n_trees=5), 0)
-        votes = committee.member_votes(np.random.default_rng(2).normal(size=(8, 2)))
-        assert (votes == 0).all()
+        probe = np.random.default_rng(2).normal(size=(8, 2))
+        assert (committee.member_probas(probe).argmax(axis=2) == 0).all()
 
     def test_determinism(self):
         params = ForestParams(n_trees=8)
         probe = np.random.default_rng(5).normal(size=(12, 3))
         a = fit_committee(self.ds, 3, params, 9)
         b = fit_committee(self.ds, 3, params, 9)
-        np.testing.assert_array_equal(a.member_votes(probe), b.member_votes(probe))
+        np.testing.assert_array_equal(a.member_probas(probe).argmax(axis=2),
+                                      b.member_probas(probe).argmax(axis=2))
 
     def test_member_probas_match_a_stack_of_members(self):
         committee = fit_committee(self.ds, 4, ForestParams(n_trees=7), 2)
@@ -387,8 +386,8 @@ class TestCommittee:
     def test_invalid_members_rejected(self):
         a, b = (hand_model([constant_tree(0)]) for _ in range(2))
         other = hand_model([constant_tree(0)], FeatureSchema(("f0",), ("x", "y")))
-        reseeded = ForestModel(SCHEMA2, ForestParams(n_trees=1), 1,
-                               [constant_tree(0)], np.zeros(2, dtype=np.int64))
+        reseeded = ForestModel(SCHEMA2, 1, [constant_tree(0)],
+                               np.zeros(2, dtype=np.int64))
         with pytest.raises(InvalidCommitteeSize, match="at least 2"):
             Committee([a])
         with pytest.raises(SchemaMismatch):

@@ -759,3 +759,52 @@ class TestTieProperties:
         assert len(set(score_pool(cfg, committee, pool).tolist())) == 1
         k = data.draw(st.integers(1, m))
         assert select_batch(cfg, committee, pool, k) == list(range(k))
+
+
+class TestVoteEntropyFromTheStack:
+    """qbc_vote_entropy reads each member's vote off the member stack."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_stacked_member_predictions(self, data):
+        n_classes = data.draw(st.integers(2, 4))
+        d = data.draw(st.integers(1, 3))
+        distinct = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d,
+                                               max_size=d), min_size=1, max_size=5))
+        # few distinct rows under clashing labels leave impure leaves, and
+        # an even tree count lets a member's votes tie
+        n = data.draw(st.integers(4, 30))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                                   min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, n_classes - 1),
+                                    min_size=n, max_size=n))
+        ds = Dataset(FeatureSchema(tuple(f"f{j}" for j in range(d)),
+                                   tuple(f"c{j}" for j in range(n_classes))),
+                     np.asarray(distinct, dtype=float)[picks], labels)
+        n_labeled = data.draw(st.integers(1, n - 1))
+        pool = PoolState(ds, range(n_labeled), range(n_labeled, n), ())
+        committee = fit_committee(
+            ds.subset(pool.labeled), data.draw(st.integers(2, 5)),
+            ForestParams(n_trees=data.draw(st.integers(1, 4))),
+            data.draw(st.integers(0, 1 << 30)))
+        XU = ds.features[pool.unlabeled]
+        votes = np.stack([m.predict_many(XU) for m in committee.members])
+        expected = strategies._vote_entropy_rows(votes, n_classes)
+        got = score_pool(StrategyConfig(kind="qbc_vote_entropy"), committee, pool)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_tied_member_posteriors_vote_for_the_lowest_class(self):
+        third = [1 / 3] * 3
+        # rows x members x classes; each member's top classes tie
+        table = np.array([[[0, .5, .5], [.5, 0, .5]],
+                          [[.5, .5, 0], [.5, .5, 0]],
+                          [third, [0, 0, 1]]]).transpose(1, 0, 2)
+        committee = TableCommittee(table, 3)
+        pool = indexed_pool(3, 3)
+        cfg = StrategyConfig(kind="qbc_vote_entropy")
+        expected = [vote_entropy([1, 0], 3), vote_entropy([0, 0], 3),
+                    vote_entropy([0, 2], 3)]
+        assert score_pool(cfg, committee, pool).tolist() == expected
+        # voting for the highest tied class would make every row unanimous
+        assert expected[0] == expected[2] > expected[1] == 0.0
+        assert select_batch(cfg, committee, pool, 2) == [0, 2]
