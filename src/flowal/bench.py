@@ -34,7 +34,6 @@ from .dataset import (
     Dataset,
     IngestionConfig,
     SyntheticSpec,
-    _is_int,
     generate_synthetic,
     holdout_split,
     load_csv,
@@ -50,7 +49,7 @@ from .engine import (
     oracle_label,
     run_pool_loop,
 )
-from .errors import ConfigError, EmptyReport
+from .errors import ConfigError, EmptyReport, _check_int
 from .forest import (
     ForestParams,
     RegressionForestModel,
@@ -126,8 +125,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         seeds = tuple(self.seeds)
-        if not all(_is_int(s) for s in seeds):
-            raise ConfigError(f"seeds must be integers, got {seeds!r}")
+        for seed in seeds:
+            _check_int(seed, "each seed", ConfigError)
         # int() turns numpy integer seeds into plain ones
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
@@ -142,11 +141,9 @@ class ExperimentConfig:
             raise ConfigError("fractions must be strictly increasing")
         if not 0 < self.test_fraction < 1:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if not _is_int(self.batch) or self.batch < 1:
-            raise ConfigError("batch must be an int >= 1")
-        if self.seed_size is not None and not (_is_int(self.seed_size)
-                                               and self.seed_size >= 1):
-            raise ConfigError("seed_size must be an int >= 1 when given")
+        _check_int(self.batch, "batch", ConfigError, 1)
+        if self.seed_size is not None:
+            _check_int(self.seed_size, "seed_size", ConfigError, 1)
         if not 0 <= self.oracle_noise <= 1:
             raise ConfigError("oracle_noise must be in [0, 1]")
         names = [s.display_name for s in self.strategies]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,19 +21,24 @@ from .errors import (
     DatasetError,
     DimensionMismatch,
     EmptyDataset,
+    IndexOutOfRange,
     InvalidPool,
     InvalidSchema,
     InvalidSpec,
     MissingColumn,
     NonNumericValue,
     SchemaMismatch,
+    _check_finite, _check_int,
 )
 from .rng import make_rng
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True trees or split sizes are mistakes
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _indices(values, error: type) -> np.ndarray:
+    """``values`` as int64 indices; floats or a boolean mask raise ``error``."""
+    idx = np.asarray(values)
+    if idx.size and idx.dtype.kind not in "iu":  # np.asarray([]) is float64
+        raise error(f"indices must be integers, got {idx.dtype} values")
+    return idx.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _indices(indices, IndexOutOfRange)
         return Dataset(self.schema, self.features[idx], self.labels[idx])
 
     def class_counts(self) -> np.ndarray:
@@ -148,31 +152,23 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_classes", "per_class", "n_features", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidSpec(f"{name} must be an int")
-        for name in ("class_mean_separation", "noise_stddev"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpec(f"{name} must be finite")
-        if self.n_classes < 2:
-            raise InvalidSpec("n_classes must be >= 2")
-        if self.per_class < 1:
-            raise InvalidSpec("per_class must be >= 1")
-        if self.n_features < 1:
-            raise InvalidSpec("n_features must be >= 1")
+        _check_int(self.n_classes, "n_classes", InvalidSpec, 2)
+        _check_int(self.per_class, "per_class", InvalidSpec, 1)
+        _check_int(self.n_features, "n_features", InvalidSpec, 1)
+        _check_int(self.seed, "seed", InvalidSpec)
+        _check_finite(self.class_mean_separation, "class_mean_separation", InvalidSpec)
+        _check_finite(self.noise_stddev, "noise_stddev", InvalidSpec)
         if self.noise_stddev < 0:
             raise InvalidSpec("noise_stddev must be >= 0")
-        total = self.n_classes * self.per_class
         if self.drift is not None:
-            if not _is_int(self.drift.onset_index):
-                raise InvalidSpec("drift onset_index must be an int")
-            if not 0 <= self.drift.onset_index <= total:
+            _check_int(self.drift.onset_index, "drift onset_index", InvalidSpec)
+            if not 0 <= self.drift.onset_index <= self.n_classes * self.per_class:
                 raise InvalidSpec("drift onset_index outside [0, record count]")
             shift = np.atleast_1d(np.asarray(self.drift.mean_shift, dtype=np.float64))
             if shift.ndim != 1 or shift.size not in (1, self.n_features):
                 raise InvalidSpec("mean_shift must be scalar or length n_features")
-            if not np.isfinite(shift).all():
-                raise InvalidSpec("mean_shift must be finite")
+            for value in shift:
+                _check_finite(value, "mean_shift", InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -194,8 +190,10 @@ def subset_size(fraction: float, n: int) -> int:
 
     The product is taken on the fraction's decimal text, not its binary
     float, so 0.35 * 90 is exactly 31.5 and gives 32 (the float product is
-    31.499999999999996, which would give 31).
+    31.499999999999996, which would give 31).  A NaN or infinite fraction
+    raises ``InvalidPool``.
     """
+    _check_finite(fraction, "fraction", InvalidPool)
     return math.floor(Fraction(str(fraction)) * n + Fraction(1, 2))
 
 
@@ -322,8 +320,6 @@ def holdout_split(n: int, test_fraction: float, seed: int):
     seeded permutation; ``rest`` keeps the permutation's order.  Together
     they are a permutation of ``range(n)``, and neither may be empty.
     """
-    perm = np.arange(n)
-    make_rng(seed, 10).shuffle(perm)
     n_test = subset_size(test_fraction, n)
     if n_test < 1:
         raise InvalidPool(
@@ -331,6 +327,8 @@ def holdout_split(n: int, test_fraction: float, seed: int):
     if n_test >= n:
         raise InvalidPool(
             f"test_fraction {test_fraction} of {n} records leaves no train pool")
+    perm = np.arange(n)
+    make_rng(seed, 10).shuffle(perm)
     return perm[:n_test], perm[n_test:]
 
 
@@ -356,11 +354,6 @@ class Scaler:
         out = (X - self.mean) / safe
         out[..., self.std == 0] = 0.0
         return out
-
-    def apply(self, dataset: Dataset) -> Dataset:
-        if dataset.schema != self.schema:
-            raise SchemaMismatch("dataset schema differs from the scaler's")
-        return Dataset(dataset.schema, self.transform(dataset.features), dataset.labels)
 
 
 def standardize(train: Dataset) -> Scaler:

@@ -14,7 +14,6 @@ making a run's history (minus wall-clock fields) a pure function of its inputs.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -22,13 +21,16 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, _is_int, holdout_split, subset_size
+from .dataset import Dataset, _indices, holdout_split, subset_size
 from .errors import (
     EmptyStream,
+    EmptyTestSet,
     IndexOutOfRange,
+    InvalidParams,
     InvalidPool,
     InvalidThreshold,
     NoStoppingCriterion,
+    _check_finite, _check_int,
 )
 from .forest import (
     ForestParams,
@@ -56,7 +58,8 @@ class PoolState:
 
     The three sets must be pairwise disjoint; together they are the run's
     index universe.  Each is stored as a sorted, read-only int64 array, which
-    also fixes the tie-break order used by batch selection.
+    also fixes the tie-break order used by batch selection; indices that are
+    not integers are rejected.
     """
 
     dataset: Dataset
@@ -66,7 +69,7 @@ class PoolState:
 
     def __post_init__(self):
         for name in ("labeled", "unlabeled", "test"):
-            indices = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
+            indices = np.sort(_indices(getattr(self, name), InvalidPool))
             indices.flags.writeable = False
             object.__setattr__(self, name, indices)
         combined = np.concatenate([self.labeled, self.unlabeled, self.test])
@@ -80,8 +83,7 @@ class PoolState:
 def make_pool(dataset: Dataset, test_fraction: float, n_seed: int,
               seed: int) -> PoolState:
     """Shuffle a dataset into (test, seed-labeled, unlabeled) index sets."""
-    if not _is_int(n_seed):
-        raise InvalidPool(f"seed size must be an int, got {n_seed!r}")
+    _check_int(n_seed, "seed size", InvalidPool)
     test, rest = holdout_split(len(dataset), test_fraction, seed)
     if not 0 < n_seed <= rest.size:
         raise InvalidPool(f"seed size {n_seed} does not fit the train pool")
@@ -104,12 +106,12 @@ class Oracle:
     def __post_init__(self):
         if not 0.0 <= self.noise_rate <= 1.0:
             raise InvalidThreshold("noise_rate must be in [0, 1]")
-        if not _is_int(self.seed):
-            raise InvalidThreshold("seed must be an int")
+        _check_int(self.seed, "seed", InvalidThreshold)
 
 
 def oracle_label(oracle: Oracle, index: int) -> int:
     """Answer a label query for one record index."""
+    _check_int(index, "record index", IndexOutOfRange)
     if not 0 <= index < len(oracle.dataset):
         raise IndexOutOfRange(f"record index {index} outside the dataset")
     truth = int(oracle.dataset.labels[index])
@@ -157,22 +159,17 @@ class StoppingCriteria:
         if self.accuracy_threshold is not None and not 0 < self.accuracy_threshold <= 1:
             raise NoStoppingCriterion("accuracy_threshold must be in (0, 1]")
         if self.max_queries is not None:
-            if not _is_int(self.max_queries):
-                raise NoStoppingCriterion("max_queries must be an int")
-            if self.max_queries < 0:
-                raise NoStoppingCriterion("max_queries must be >= 0")
+            _check_int(self.max_queries, "max_queries", NoStoppingCriterion, 0)
         if self.time_budget is not None:
-            if not math.isfinite(self.time_budget):
-                raise NoStoppingCriterion("time_budget must be finite")
+            _check_finite(self.time_budget, "time_budget", NoStoppingCriterion)
             if self.time_budget < 0:
                 raise NoStoppingCriterion("time_budget must be >= 0")
         if self.stabilization is not None:
-            if not _is_int(self.stabilization.window):
-                raise NoStoppingCriterion("stabilization window must be an int")
-            if not math.isfinite(self.stabilization.epsilon):
-                raise NoStoppingCriterion("stabilization epsilon must be finite")
-            if self.stabilization.window < 1 or self.stabilization.epsilon < 0:
-                raise NoStoppingCriterion("stabilization needs window >= 1, epsilon >= 0")
+            window, epsilon = self.stabilization.window, self.stabilization.epsilon
+            _check_int(window, "stabilization window", NoStoppingCriterion, 1)
+            _check_finite(epsilon, "stabilization epsilon", NoStoppingCriterion)
+            if epsilon < 0:
+                raise NoStoppingCriterion("stabilization epsilon must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -253,6 +250,7 @@ class _Recorder:
                  strategy: Optional[StrategyConfig] = None):
         if oracle.dataset is not dataset:
             raise InvalidPool("the oracle must label the loop's own dataset")
+        _check_int(seed, "seed", InvalidParams)  # first drawn after the labels
         self.dataset, self.oracle, self.test = dataset, oracle, test
         self.learner, self.stop, self.seed, self.tag = learner, stop, seed, tag
         self.committee = (strategy.committee_size if strategy is not None
@@ -311,8 +309,7 @@ def run_pool_loop(pool: PoolState, strategy: StrategyConfig,
     billed as selection time.  ``oracle`` must be over ``pool.dataset``
     itself, the same object.
     """
-    if batch < 1:
-        raise InvalidPool(f"batch must be >= 1, got {batch}")
+    _check_int(batch, "batch", InvalidPool, 1)
     if not len(pool.test):
         raise InvalidPool("pool loop needs a non-empty test set")
     if not len(pool.labeled):
@@ -361,20 +358,14 @@ class StreamConfig:
     def __post_init__(self):
         if self.measure not in UNCERTAINTY_KINDS:
             raise InvalidThreshold(f"unknown stream measure {self.measure!r}")
-        if not math.isfinite(self.threshold):
-            raise InvalidThreshold("threshold must be finite")
-        if not _is_int(self.retrain_every):
-            raise InvalidThreshold("retrain_every must be an int")
-        if self.max_label_budget is not None and not _is_int(self.max_label_budget):
-            raise InvalidThreshold("max_label_budget must be an int")
+        _check_finite(self.threshold, "threshold", InvalidThreshold)
         if self.threshold < 0:
             raise InvalidThreshold("threshold must be >= 0")
-        if self.max_label_budget is not None and self.max_label_budget < 0:
-            raise InvalidThreshold("max_label_budget must be >= 0")
+        if self.max_label_budget is not None:
+            _check_int(self.max_label_budget, "max_label_budget", InvalidThreshold, 0)
         if not 0 < self.seed_fraction < 1:
             raise InvalidThreshold("seed_fraction must be in (0, 1)")
-        if self.retrain_every < 1:
-            raise InvalidThreshold("retrain_every must be >= 1")
+        _check_int(self.retrain_every, "retrain_every", InvalidThreshold, 1)
 
 
 def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
@@ -387,8 +378,9 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     initial model (recorded as the first iteration).  Each later instance is
     measured once and either queried or discarded forever; the model refits
     after every ``retrain_every`` queried instances and once more at the end
-    if queries are pending.  A seed prefix whose oracle labels hold fewer
-    than two classes is rejected before the first fit.  ``cap_queries``
+    if queries are pending.  An empty ``test`` is rejected before the
+    oracle is asked, and a seed prefix whose oracle labels hold fewer than
+    two classes before the first fit.  ``cap_queries``
     folds the label budget into ``stop``, which may be None.  ``test`` is a
     held-out set used for the accuracy record and accuracy-based stopping;
     ``oracle`` must be over ``stream`` itself, the same object.
@@ -396,6 +388,8 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     n = len(stream)
     if n == 0:
         raise EmptyStream("stream has no records")
+    if not len(test):
+        raise EmptyTestSet("stream loop needs a non-empty test set")
     budget = config.max_label_budget
     stop = cap_queries(stop, subset_size(0.15, n) if budget is None else budget)
     n_seed = max(1, subset_size(config.seed_fraction, n))

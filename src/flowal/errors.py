@@ -1,4 +1,4 @@
-"""Exception types raised across the library.
+"""Exception types raised across the library, and its integer and finite checks.
 
 Every failure mode has a named class so callers can catch precisely.  The
 classes are grouped by the CLI exit code they map to, and each group's base
@@ -8,6 +8,9 @@ class carries that code, so this module alone decides it:
 - ``DatasetError`` (exit 2): a dataset cannot be read or built;
 - any other ``FlowalError`` (exit 3): a runtime failure.
 """
+
+import math
+import numbers
 
 
 class FlowalError(Exception):
@@ -142,3 +145,21 @@ class ZeroDenominator(FlowalError):
 
 class ClassOutOfRange(FlowalError):
     pass
+
+
+# --- the integer and finite rules ------------------------------------------
+
+def _check_int(value, name: str, error: type, minimum=None) -> None:
+    """Raise ``error`` unless ``value`` is an int, and >= ``minimum`` if given."""
+    # numpy integers are Integral; bool is an int subclass, but True trees
+    # or split sizes are mistakes
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an int{bound}")
+
+
+def _check_finite(value, name: str, error: type) -> None:
+    """Raise ``error`` if ``value`` is NaN or infinite."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite")

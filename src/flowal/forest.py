@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema, _is_int
+from .dataset import Dataset, FeatureSchema
 from .errors import (
     DimensionMismatch,
     EmptyTestSet,
@@ -32,6 +32,7 @@ from .errors import (
     InvalidDistribution,
     InvalidParams,
     SchemaMismatch,
+    _check_int,
 )
 from .rng import derive_seed, make_rng
 
@@ -77,18 +78,13 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if not _is_int(self.n_trees) or self.n_trees < 1:
-            raise InvalidParams("n_trees must be an int >= 1")
-        if self.max_depth is not None and not (_is_int(self.max_depth)
-                                               and self.max_depth >= 0):
-            raise InvalidParams("max_depth must be an int >= 0 or None")
-        if not _is_int(self.min_samples_split) or self.min_samples_split < 2:
-            raise InvalidParams("min_samples_split must be an int >= 2")
-        if isinstance(self.features_per_split, str):
-            if self.features_per_split != "sqrt":
-                raise InvalidParams("features_per_split must be 'sqrt' or an int")
-        elif not _is_int(self.features_per_split) or self.features_per_split < 1:
-            raise InvalidParams("features_per_split must be 'sqrt' or an int >= 1")
+        _check_int(self.n_trees, "n_trees", InvalidParams, 1)
+        if self.max_depth is not None:
+            _check_int(self.max_depth, "max_depth", InvalidParams, 0)
+        _check_int(self.min_samples_split, "min_samples_split", InvalidParams, 2)
+        if self.features_per_split != "sqrt":
+            _check_int(self.features_per_split, "features_per_split other than 'sqrt'",
+                       InvalidParams, 1)
 
     def resolve_features_per_split(self, n_features: int) -> int:
         if self.features_per_split == "sqrt":
@@ -504,8 +500,7 @@ def fit_committee(labeled: Dataset, size: int, params: ForestParams,
 
     Member m's resample and model seed both derive from (seed, m).
     """
-    if size < 2:
-        raise InvalidCommitteeSize(f"committee size must be >= 2, got {size}")
+    _check_int(size, "committee size", InvalidCommitteeSize, 2)
     if len(labeled) == 0:
         raise EmptyTrainingSet("cannot fit a committee on zero records")
     n = len(labeled)

@@ -7,11 +7,15 @@ schedule.
 
 import numpy as np
 
+from .errors import InvalidParams, _check_int
+
 _MASK = (1 << 64) - 1
 
 
 def make_rng(*parts: int) -> np.random.Generator:
-    """Generator seeded by a tuple of integers (negatives are wrapped)."""
+    """Generator seeded by a tuple of ints (negatives wrap); the one seed check."""
+    for part in parts:
+        _check_int(part, "seed", InvalidParams)
     return np.random.default_rng([int(p) & _MASK for p in parts])
 
 

@@ -19,14 +19,12 @@ toward the lowest pool index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import (SyntheticSpec, _is_int, generate_synthetic,
-                      holdout_split, standardize)
+from .dataset import SyntheticSpec, generate_synthetic, holdout_split, standardize
 from .errors import (
     BatchTooLarge,
     EmptyCommittee,
@@ -35,6 +33,7 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     UntrainedRegressor,
+    _check_finite, _check_int,
 )
 from .forest import (
     Committee,
@@ -186,6 +185,7 @@ def information_density(base_scores, pool_features, beta: float) -> np.ndarray:
     bit-identical factors, and the factor is clamped to [0, 1] so rounding
     of a unit norm cannot push it outside.
     """
+    _check_finite(beta, "density beta", InvalidParams)
     if beta < 0:
         raise InvalidParams(f"density beta must be >= 0, got {beta}")
     base = np.asarray(base_scores, dtype=np.float64)
@@ -220,12 +220,9 @@ class LalParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.mc_rounds) or self.mc_rounds < 1:
-            raise InvalidParams("mc_rounds must be an int >= 1")
-        if not _is_int(self.trees) or self.trees < 1:
-            raise InvalidParams("trees must be an int >= 1")
-        if not _is_int(self.seed):
-            raise InvalidParams("seed must be an int")
+        _check_int(self.mc_rounds, "mc_rounds", InvalidParams, 1)
+        _check_int(self.trees, "trees", InvalidParams, 1)
+        _check_int(self.seed, "seed", InvalidParams)
 
 
 def lal_state_features(model: ForestModel, labeled_size: int,
@@ -336,15 +333,12 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise InvalidParams(f"unknown strategy kind {self.kind!r}")
-        if not _is_int(self.seed):
-            raise InvalidParams("seed must be an int")
-        if not math.isfinite(self.beta):
-            raise InvalidParams("beta must be finite")
+        _check_int(self.seed, "seed", InvalidParams)
+        _check_finite(self.beta, "beta", InvalidParams)
         if self.beta < 0:
             raise InvalidParams("beta must be >= 0")
-        if self.kind in _QBC_KINDS and not (_is_int(self.committee_size)
-                                            and self.committee_size >= 2):
-            raise InvalidParams("QBC needs an int committee_size >= 2")
+        if self.kind in _QBC_KINDS:
+            _check_int(self.committee_size, "committee_size", InvalidParams, 2)
         if self.base_informativeness not in UNCERTAINTY_KINDS:
             raise InvalidParams(
                 "base_informativeness must be one of "
@@ -407,6 +401,7 @@ def select_batch(config: StrategyConfig, state, pool: "PoolState", k: int,
     replacement, deterministically in (seed, |labeled|, |unlabeled|), and
     returns ascending indices.
     """
+    _check_int(k, "batch size", InvalidParams)
     U = np.asarray(pool.unlabeled, dtype=np.int64)
     if U.size == 0:
         raise EmptyPool("cannot select from an empty unlabeled pool")

@@ -22,6 +22,7 @@ from flowal.errors import (
     DatasetError,
     DimensionMismatch,
     EmptyDataset,
+    IndexOutOfRange,
     InvalidPool,
     InvalidSchema,
     InvalidSpec,
@@ -355,8 +356,8 @@ class TestStandardize:
     def test_constant_column_maps_to_zero(self):
         schema = FeatureSchema(("a", "b"), ("x", "y"))
         ds = Dataset(schema, [[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]], [0, 1, 0])
-        out = standardize(ds).apply(ds)
-        np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0, 0.0])
+        out = standardize(ds).transform(ds.features)
+        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0, 0.0])
 
     def test_single_row_matches_matrix_row(self):
         schema = FeatureSchema(("a", "b", "c"), ("x", "y"))
@@ -376,9 +377,9 @@ class TestStandardize:
         scaler = standardize(ds)
         assert scaler.mean[0] == pytest.approx(2.0, abs=1e-12)
         assert scaler.std[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
-        out = scaler.apply(ds)
+        out = scaler.transform(ds.features)
         expected = 1.0 / math.sqrt(2.0 / 3.0)
-        np.testing.assert_allclose(out.features[:, 0],
+        np.testing.assert_allclose(out[:, 0],
                                    [-expected, 0.0, expected], atol=1e-12)
         assert expected == pytest.approx(1.2247, abs=1e-4)
 
@@ -387,14 +388,11 @@ class TestStandardize:
         schema = FeatureSchema(tuple(f"f{j}" for j in range(4)), ("x", "y"))
         ds = Dataset(schema, rng.normal(3.0, 2.5, size=(40, 4)),
                      rng.integers(0, 2, size=40))
-        out = standardize(ds).apply(ds)
-        np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-9)
+        out = standardize(ds).transform(ds.features)
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
 
     def test_schema_mismatch_on_apply(self):
         ds = toy_dataset(6, d=2)
-        other = toy_dataset(6, d=3)
-        with pytest.raises(SchemaMismatch):
-            standardize(ds).apply(other)
         with pytest.raises(SchemaMismatch):
             standardize(ds).transform(np.zeros((2, 5)))
 
@@ -436,6 +434,13 @@ class TestSubsetSize:
         test, rest = holdout_split(90, 0.35, 0)
         assert len(test) == 32 and len(rest) == 58
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction_is_an_invalid_pool(self, fraction):
+        with pytest.raises(InvalidPool, match="^fraction must be finite$"):
+            subset_size(fraction, 10)
+        with pytest.raises(InvalidPool):
+            holdout_split(10, fraction, 0)
+
 
 class TestDatasetContainer:
     def test_immutable_arrays(self):
@@ -468,3 +473,17 @@ class TestDatasetContainer:
         sub = ds.subset([4, 1])
         np.testing.assert_array_equal(sub.features[0], ds.features[4])
         np.testing.assert_array_equal(sub.features[1], ds.features[1])
+
+    @pytest.mark.parametrize("indices", [
+        [1.5], np.array([0.0, 2.0]), np.arange(6) < 2], ids=["float", "floats", "mask"])
+    def test_subset_rejects_non_integer_indices(self, indices):
+        # floats would be truncated and a mask read as indices 0 and 1
+        with pytest.raises(IndexOutOfRange, match="integers"):
+            toy_dataset(6).subset(indices)
+
+    @pytest.mark.parametrize("indices", [[], (), np.array([], dtype=np.uint8),
+                                         [np.int32(3), 0]])
+    def test_subset_takes_empty_and_numpy_integer_indices(self, indices):
+        ds = toy_dataset(6)
+        sub = ds.subset(indices)
+        np.testing.assert_array_equal(sub.labels, ds.labels[list(indices)])

@@ -33,6 +33,7 @@ from flowal import (
 )
 from flowal.errors import (
     EmptyStream,
+    EmptyTestSet,
     IndexOutOfRange,
     InvalidPool,
     InvalidThreshold,
@@ -119,6 +120,14 @@ class TestOracle:
             oracle_label(oracle, 5)
         with pytest.raises(IndexOutOfRange):
             oracle_label(oracle, -1)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True])
+    def test_non_integer_index_rejected(self, index):
+        ds = toy_dataset(5)
+        oracle = Oracle(ds, 0.0, 0)
+        with pytest.raises(IndexOutOfRange, match="record index must be an int"):
+            oracle_label(oracle, index)
+        assert oracle_label(oracle, np.int64(1)) == ds.labels[1]
 
     def test_noise_rate_validated(self):
         with pytest.raises(InvalidThreshold):
@@ -213,6 +222,12 @@ class TestPoolState:
         for ix in inputs:
             if isinstance(ix, np.ndarray):
                 assert ix.flags.writeable
+
+    @pytest.mark.parametrize("labeled", [[0.5, 1.0], np.arange(10) < 2],
+                             ids=["floats", "mask"])
+    def test_non_integer_indices_rejected(self, labeled):
+        with pytest.raises(InvalidPool, match="integers"):
+            PoolState(toy_dataset(10), labeled, (2,), (3,))
 
     def test_empty_sets_allowed(self):
         pool = PoolState(toy_dataset(10), (), [], np.array([], dtype=np.int64))
@@ -547,6 +562,15 @@ class TestStreamLoop:
             run_stream_loop(empty, test, StreamConfig(max_label_budget=1),
                             ForestParams(n_trees=3), Oracle(stream, 0.0, 0),
                             StoppingCriteria(max_queries=1), 0)
+
+    def test_empty_test_set_rejected_before_the_oracle(self, engine_calls):
+        stream, test = stream_pair(5)
+        with pytest.raises(EmptyTestSet):
+            run_stream_loop(stream, test.subset([]),
+                            StreamConfig(seed_fraction=0.05),
+                            ForestParams(n_trees=3), Oracle(stream, 0.0, 5),
+                            None, 5)
+        assert not any(engine_calls.values())
 
     @pytest.mark.parametrize("seed_fraction", [0.004, 0.02])
     def test_one_class_seed_prefix_rejected_before_the_first_fit(
