@@ -59,7 +59,6 @@ from .strategies import (
     entropy,
     information_density,
     kl_disagreement,
-    lal_score,
     lal_state_features,
     least_confidence,
     margin,

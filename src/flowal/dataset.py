@@ -116,6 +116,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = _indices(indices, IndexOutOfRange)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise IndexOutOfRange(f"record index outside [0, {len(self)})")
         return Dataset(self.schema, self.features[idx], self.labels[idx])
 
     def class_counts(self) -> np.ndarray:

@@ -378,10 +378,13 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     initial model (recorded as the first iteration).  Each later instance is
     measured once and either queried or discarded forever; the model refits
     after every ``retrain_every`` queried instances and once more at the end
-    if queries are pending.  An empty ``test`` is rejected before the
-    oracle is asked, and a seed prefix whose oracle labels hold fewer than
-    two classes before the first fit.  ``cap_queries``
-    folds the label budget into ``stop``, which may be None.  ``test`` is a
+    if queries are pending.  Arriving instances are scored in chunks of 64,
+    128, ... rows; a refit drops the current chunk, so each instance is
+    measured by the model that is current when it arrives, and a chunk's
+    scoring time is billed to the instance that triggers it.  An empty
+    ``test`` is rejected before the oracle is asked, and a seed prefix whose
+    oracle labels hold fewer than two classes before the first fit.
+    ``cap_queries`` folds the label budget into ``stop``, which may be None.  ``test`` is a
     held-out set used for the accuracy record and accuracy-based stopping;
     ``oracle`` must be over ``stream`` itself, the same object.
     """
@@ -403,12 +406,16 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
 
     model, stopped = run.refit(())
     pending: List[int] = []
+    scores, start = np.empty(0), n_seed  # scores[j] measures row start + j
     for i in range(n_seed, n):
         if stopped or len(run.labeled) - n_seed >= stop.max_queries:
             break
         t0 = run.clock()
-        probs = model.predict_proba_many(stream.features[i:i + 1])
-        value = float(uncertainty_scores(config.measure, probs)[0])
+        if i - start >= len(scores):  # used up, or dropped at the last refit
+            probs = model.predict_proba_many(
+                stream.features[i:i + max(64, 2 * len(scores))])
+            scores, start = uncertainty_scores(config.measure, probs), i
+        value = scores[i - start]
         run.select_time += run.clock() - t0
         if config.measure == "margin":
             useful = value <= config.threshold
@@ -420,7 +427,7 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
         pending.append(i)
         if len(pending) == config.retrain_every:
             model, stopped = run.refit(tuple(pending))
-            pending = []
+            pending, scores = [], np.empty(0)
     if pending:
         run.refit(tuple(pending))
     return run.history

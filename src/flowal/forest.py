@@ -426,22 +426,8 @@ class ForestModel:
     def predict_proba_many(self, X) -> np.ndarray:
         return self.vote_counts(X) / self.n_trees
 
-    def predict_proba(self, features) -> ProbabilityDistribution:
-        """Vote-fraction distribution for a single feature vector."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 1:
-            raise DimensionMismatch("predict_proba takes a single feature vector")
-        return ProbabilityDistribution(self.predict_proba_many(features[None, :])[0])
-
     def predict_many(self, X) -> np.ndarray:
         return np.argmax(self.vote_counts(X), axis=1)
-
-    def predict(self, features) -> int:
-        """Majority-vote class; ties break toward the lowest class index."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 1:
-            raise DimensionMismatch("predict takes a single feature vector")
-        return int(self.predict_many(features[None, :])[0])
 
 
 def fit_forest(labeled: Dataset, params: ForestParams, seed: int) -> ForestModel:

@@ -20,12 +20,20 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     ZeroDenominator,
+    _check_finite,
 )
 
 
 def tar(acc_subset: float, acc_full: float) -> float:
-    """Training accuracy ratio; raises when the full-model accuracy is zero."""
-    if acc_full <= 0:
+    """Training accuracy ratio; raises when the full-model accuracy is zero.
+
+    Both accuracies must lie in [0, 1], which also rejects NaN and infinity.
+    """
+    for name, value in (("subset accuracy", acc_subset),
+                        ("full accuracy", acc_full)):
+        if not 0 <= value <= 1:
+            raise InvalidParams(f"{name} must be in [0, 1], got {value}")
+    if acc_full == 0:
         raise ZeroDenominator("full-dataset accuracy must be positive")
     return acc_subset / acc_full
 
@@ -39,9 +47,12 @@ class TimingRecord:
     full_train_time: float
 
     def __post_init__(self):
-        if min(self.subset_train_time, self.subset_selection_time,
-               self.full_train_time) < 0:
-            raise InvalidParams("timing values must be nonnegative")
+        for name in ("subset_train_time", "subset_selection_time",
+                     "full_train_time"):
+            value = getattr(self, name)
+            _check_finite(value, name, InvalidParams)
+            if value < 0:
+                raise InvalidParams(f"{name} must be nonnegative")
 
 
 def ttr(timing: TimingRecord) -> float:

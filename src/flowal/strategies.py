@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import SyntheticSpec, generate_synthetic, holdout_split, standardize
+from .dataset import (SyntheticSpec, _indices, generate_synthetic,
+                      holdout_split, standardize)
 from .errors import (
     BatchTooLarge,
     EmptyCommittee,
@@ -118,7 +119,7 @@ def margin(p) -> float:
 
 def vote_entropy(votes, n_classes: int) -> float:
     """Entropy of the committee's vote histogram; 0 exactly at unanimity."""
-    votes = np.asarray(votes, dtype=np.int64)
+    votes = _indices(votes, InvalidDistribution)
     if votes.size < 2:
         raise EmptyCommittee("vote entropy needs at least 2 committee votes")
     if (votes < 0).any() or (votes >= n_classes).any():
@@ -227,15 +228,13 @@ class LalParams:
 
 def lal_state_features(model: ForestModel, labeled_size: int,
                        candidate) -> np.ndarray:
-    """8-entry learning-state vector for one candidate; (m, 8) for m rows.
+    """(m, 8) learning-state matrix for an (m, n_features) candidate matrix.
 
     Order: max probability, margin, entropy, across-tree vote variance,
     labeled-set size, labeled class-balance entropy, mean leaf depth reached,
     candidate L2 norm.
     """
     X = np.asarray(candidate, dtype=np.float64)
-    if X.ndim == 1:
-        return lal_state_features(model, labeled_size, X[None, :])[0]
     counts, mean_depth = model.vote_counts_and_mean_depth(X)
     P = counts / model.n_trees
     # sum of per-class Bernoulli variances of the tree votes
@@ -302,15 +301,6 @@ def train_lal_regressor(params: LalParams) -> RegressionForestModel:
     return fit_regression_forest(states, targets,
                                  ForestParams(n_trees=params.trees),
                                  derive_seed(params.seed, 5))
-
-
-def lal_score(regressor: RegressionForestModel, model: ForestModel,
-              labeled_size: int, candidate) -> float:
-    """Forecast error reduction from labeling ``candidate``; higher is better."""
-    if regressor is None:
-        raise UntrainedRegressor("train the LAL regressor before scoring")
-    state = lal_state_features(model, labeled_size, candidate)
-    return float(regressor.predict_many(state[None, :])[0])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from flowal import (
     fit_forest,
     generate_synthetic,
     kl_disagreement,
-    lal_score,
+    lal_state_features,
     least_confidence,
     make_pool,
     margin,
@@ -89,6 +89,11 @@ class TestCriterion2EntropySuite:
                   "high-precision oracle, permutation-invariant over 1000 draws")
 
 
+def _proba(model, x):
+    """One row's vote fractions, through the batched method."""
+    return model.predict_proba_many(x[None])[0]
+
+
 def _single_scores(kind, model, committee, regressor, pool, labeled_ds):
     """Score candidates one at a time through the public scalar operations."""
     ds = pool.dataset
@@ -104,21 +109,22 @@ def _single_scores(kind, model, committee, regressor, pool, labeled_ds):
     for pos, idx in enumerate(pool.unlabeled):
         x = ds.features[idx]
         if kind == "entropy":
-            out.append(entropy(model.predict_proba(x)))
+            out.append(entropy(_proba(model, x)))
         elif kind == "least_confidence":
-            out.append(least_confidence(model.predict_proba(x)))
+            out.append(least_confidence(_proba(model, x)))
         elif kind == "margin":
-            out.append(margin(model.predict_proba(x)))
+            out.append(margin(_proba(model, x)))
         elif kind == "qbc_vote_entropy":
-            votes = [m.predict(x) for m in committee.members]
+            votes = [m.predict_many(x[None])[0] for m in committee.members]
             out.append(vote_entropy(votes, ds.schema.n_classes))
         elif kind == "qbc_kl":
             out.append(kl_disagreement(
-                [m.predict_proba(x) for m in committee.members]))
+                [_proba(m, x) for m in committee.members]))
         elif kind == "density":
-            out.append(entropy(model.predict_proba(x)) * factors[pos])
+            out.append(entropy(_proba(model, x)) * factors[pos])
         elif kind == "lal":
-            out.append(lal_score(regressor, model, len(pool.labeled), x))
+            state = lal_state_features(model, len(pool.labeled), x[None])
+            out.append(regressor.predict_many(state)[0])
     return out
 
 
@@ -373,7 +379,7 @@ class TestCriterion8InvariantSuites:
         votes = committee.member_probas(probe).argmax(axis=2)
         for col in range(probe.shape[0]):
             assert vote_entropy(votes[:, col], 2) == 0.0
-        member_probs = [m.predict_proba(probe[0]) for m in committee.members]
+        member_probs = [_proba(m, probe[0]) for m in committee.members]
         assert kl_disagreement(member_probs) == 0.0
 
         # density beta = 0 leaves scores untouched

@@ -481,6 +481,12 @@ class TestDatasetContainer:
         with pytest.raises(IndexOutOfRange, match="integers"):
             toy_dataset(6).subset(indices)
 
+    @pytest.mark.parametrize("indices", [[-1], np.array([-6]), [6], [0, 7]])
+    def test_subset_rejects_indices_outside_the_dataset(self, indices):
+        # a negative index would read from the end, one past it leak IndexError
+        with pytest.raises(IndexOutOfRange, match="outside"):
+            toy_dataset(6).subset(indices)
+
     @pytest.mark.parametrize("indices", [[], (), np.array([], dtype=np.uint8),
                                          [np.int32(3), 0]])
     def test_subset_takes_empty_and_numpy_integer_indices(self, indices):

@@ -82,17 +82,17 @@ class TestVoteFractions:
     def test_seven_of_ten_trees(self):
         trees = [constant_tree(0)] * 7 + [constant_tree(1)] * 3
         model = hand_model(trees)
-        probs = model.predict_proba(np.array([0.0, 0.0]))
-        np.testing.assert_array_equal(probs.probs, [0.7, 0.3])
+        probs = model.predict_proba_many(np.zeros((1, 2)))[0]
+        np.testing.assert_array_equal(probs, [0.7, 0.3])
 
     def test_single_class_training_set(self):
         # all records carry class 0 under a two-class schema
         ds = Dataset(SCHEMA2, np.random.default_rng(0).normal(size=(12, 2)),
                      np.zeros(12, dtype=int))
         model = fit_forest(ds, ForestParams(n_trees=9), 1)
-        probe = np.array([5.0, -3.0])
-        assert model.predict(probe) == 0
-        np.testing.assert_array_equal(model.predict_proba(probe).probs, [1.0, 0.0])
+        probe = np.array([[5.0, -3.0]])
+        assert model.predict_many(probe)[0] == 0
+        np.testing.assert_array_equal(model.predict_proba_many(probe)[0], [1.0, 0.0])
 
     def test_probabilities_normalize_on_fuzzed_models(self):
         rng = np.random.default_rng(7)
@@ -113,15 +113,15 @@ class TestPredict:
     def test_tie_breaks_to_lowest_class(self):
         trees = [constant_tree(0)] * 5 + [constant_tree(1)] * 5
         model = hand_model(trees)
-        assert model.predict(np.zeros(2)) == 0
+        assert model.predict_many(np.zeros((1, 2)))[0] == 0
 
     def test_argmax_of_three(self):
         trees = [constant_tree(0)] * 2 + [constant_tree(1)] * 7 + [constant_tree(2)]
         schema = FeatureSchema(("f0", "f1"), ("a", "b", "c"))
         model = hand_model(trees, schema)
-        probe = np.zeros(2)
-        np.testing.assert_allclose(model.predict_proba(probe).probs, [0.2, 0.7, 0.1])
-        assert model.predict(probe) == 1
+        probe = np.zeros((1, 2))
+        np.testing.assert_allclose(model.predict_proba_many(probe)[0], [0.2, 0.7, 0.1])
+        assert model.predict_many(probe)[0] == 1
 
     def test_predict_agrees_with_argmax_on_fuzz(self):
         rng = np.random.default_rng(3)
@@ -134,9 +134,9 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = hand_model([constant_tree(0)])
         with pytest.raises(DimensionMismatch):
-            model.predict(np.zeros(3))
+            model.predict_many(np.zeros((1, 3)))
         with pytest.raises(DimensionMismatch):
-            model.predict_proba(np.zeros((2, 2)))
+            model.predict_proba_many(np.zeros(2))
         regressor = RegressionForestModel(2, [constant_tree(0.5)])
         for rows in (np.zeros((4, 3)), np.zeros(2)):
             with pytest.raises(DimensionMismatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ class TestTar:
         with pytest.raises(ZeroDenominator):
             tar(0.5, 0.0)
 
+    @pytest.mark.parametrize("acc_subset, acc_full", [
+        (0.5, math.nan), (math.nan, 0.5), (0.5, math.inf), (1.5, 1.0),
+        (-0.1, 0.5), (0.5, -0.1)])
+    def test_accuracies_outside_the_unit_interval_rejected(self, acc_subset,
+                                                            acc_full):
+        with pytest.raises(InvalidParams, match=r"in \[0, 1\]"):
+            tar(acc_subset, acc_full)
+
     def test_homogeneous(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -70,6 +80,14 @@ class TestTtr:
     def test_negative_times_rejected(self):
         with pytest.raises(InvalidParams):
             TimingRecord(-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_times_rejected(self, bad, position):
+        times = [1.0, 1.0, 1.0]
+        times[position] = bad
+        with pytest.raises(InvalidParams, match="finite"):
+            TimingRecord(*times)
 
 
 class TestConfusion:

@@ -21,7 +21,6 @@ from flowal import (
     generate_synthetic,
     information_density,
     kl_disagreement,
-    lal_score,
     lal_state_features,
     least_confidence,
     make_pool,
@@ -35,6 +34,7 @@ from flowal import strategies
 from flowal.dataset import standardize
 from flowal.errors import (
     BatchTooLarge,
+    DimensionMismatch,
     EmptyCommittee,
     EmptyPool,
     InvalidDistribution,
@@ -129,6 +129,14 @@ class TestVoteEntropy:
     def test_too_few_votes(self):
         with pytest.raises(EmptyCommittee):
             vote_entropy([0], 2)
+
+    @pytest.mark.parametrize("votes", [[0.5, 1.5], [True, False],
+                                       np.array([0.0, 1.0])])
+    def test_votes_must_be_integers(self, votes):
+        # floats would be truncated and bools read as classes 0 and 1
+        with pytest.raises(InvalidDistribution, match="integers"):
+            vote_entropy(votes, 2)
+        assert vote_entropy(np.array([0, 1], dtype=np.uint8), 2) == math.log(2)
 
 
 class TestKlDisagreement:
@@ -415,9 +423,11 @@ class TestLal:
         ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=20,
                                               n_features=5, seed=0))
         model = fit_forest(ds, ForestParams(n_trees=7), 0)
-        state = lal_state_features(model, 12, ds.features[0])
-        assert state.shape == (8,)
+        state = lal_state_features(model, 12, ds.features[:1])
+        assert state.shape == (1, 8)
         assert np.isfinite(state).all()
+        with pytest.raises(DimensionMismatch):
+            lal_state_features(model, 12, ds.features[0])
 
     def test_states_route_each_tree_once(self, monkeypatch):
         ds = generate_synthetic(SyntheticSpec(n_classes=3, per_class=20,
@@ -477,11 +487,6 @@ class TestLal:
         with pytest.raises(InvalidParams):
             LalParams(trees=0)
 
-    def test_untrained_regressor(self):
-        model = hand_model([constant_tree(0)])
-        with pytest.raises(UntrainedRegressor):
-            lal_score(None, model, 3, np.zeros(2))
-
     def test_pool_scoring_needs_a_regressor(self):
         pool = tiny_pool(2)
         model = fit_forest(pool.dataset.subset(pool.labeled),
@@ -514,7 +519,7 @@ class TestLal:
         batch = lal_state_features(model, labeled_size, X)
         assert batch.shape == (len(X), 8)
         for i, x in enumerate(X):
-            single = lal_state_features(model, labeled_size, x)
+            single = lal_state_features(model, labeled_size, x[None])[0]
             assert batch[i].tobytes() == single.tobytes()
 
 
@@ -639,8 +644,9 @@ class TestSelectBatch:
                            ForestParams(n_trees=5), 1)
         params = LalParams(mc_rounds=2, seed=3, trees=8)
         reg = train_lal_regressor(params)
-        scores = [lal_score(reg, model, len(pool.labeled),
-                            pool.dataset.features[i]) for i in pool.unlabeled]
+        scores = [reg.predict_many(lal_state_features(
+            model, len(pool.labeled), pool.dataset.features[i][None]))[0]
+            for i in pool.unlabeled]
         expected = naive_top_k(scores, list(pool.unlabeled), 3)
         got = select_batch(StrategyConfig(kind="lal", lal_params=params),
                            model, pool, 3, lal_regressor=reg)
