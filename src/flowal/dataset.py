@@ -86,7 +86,7 @@ class Dataset:
 
     def __init__(self, schema: FeatureSchema, features, labels):
         X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
+        y = _indices(labels, SchemaMismatch)
         if X.ndim == 1 and X.size == 0:
             X = X.reshape(0, schema.n_features)
         if X.ndim != 2 or X.shape[1] != schema.n_features:
@@ -159,9 +159,7 @@ class SyntheticSpec:
         _check_int(self.n_features, "n_features", InvalidSpec, 1)
         _check_int(self.seed, "seed", InvalidSpec)
         _check_finite(self.class_mean_separation, "class_mean_separation", InvalidSpec)
-        _check_finite(self.noise_stddev, "noise_stddev", InvalidSpec)
-        if self.noise_stddev < 0:
-            raise InvalidSpec("noise_stddev must be >= 0")
+        _check_finite(self.noise_stddev, "noise_stddev", InvalidSpec, 0)
         if self.drift is not None:
             _check_int(self.drift.onset_index, "drift onset_index", InvalidSpec)
             if not 0 <= self.drift.onset_index <= self.n_classes * self.per_class:

@@ -44,6 +44,7 @@ from .strategies import (
     UNCERTAINTY_KINDS,
     StrategyConfig,
     needs_committee,
+    oriented,
     select_batch,
     train_lal_regressor,
     uncertainty_scores,
@@ -161,15 +162,11 @@ class StoppingCriteria:
         if self.max_queries is not None:
             _check_int(self.max_queries, "max_queries", NoStoppingCriterion, 0)
         if self.time_budget is not None:
-            _check_finite(self.time_budget, "time_budget", NoStoppingCriterion)
-            if self.time_budget < 0:
-                raise NoStoppingCriterion("time_budget must be >= 0")
+            _check_finite(self.time_budget, "time_budget", NoStoppingCriterion, 0)
         if self.stabilization is not None:
             window, epsilon = self.stabilization.window, self.stabilization.epsilon
             _check_int(window, "stabilization window", NoStoppingCriterion, 1)
-            _check_finite(epsilon, "stabilization epsilon", NoStoppingCriterion)
-            if epsilon < 0:
-                raise NoStoppingCriterion("stabilization epsilon must be >= 0")
+            _check_finite(epsilon, "stabilization epsilon", NoStoppingCriterion, 0)
 
 
 @dataclass(frozen=True)
@@ -358,9 +355,7 @@ class StreamConfig:
     def __post_init__(self):
         if self.measure not in UNCERTAINTY_KINDS:
             raise InvalidThreshold(f"unknown stream measure {self.measure!r}")
-        _check_finite(self.threshold, "threshold", InvalidThreshold)
-        if self.threshold < 0:
-            raise InvalidThreshold("threshold must be >= 0")
+        _check_finite(self.threshold, "threshold", InvalidThreshold, 0)
         if self.max_label_budget is not None:
             _check_int(self.max_label_budget, "max_label_budget", InvalidThreshold, 0)
         if not 0 < self.seed_fraction < 1:
@@ -407,6 +402,7 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
     model, stopped = run.refit(())
     pending: List[int] = []
     scores, start = np.empty(0), n_seed  # scores[j] measures row start + j
+    bar = oriented(config.measure, config.threshold)  # turned like the scores
     for i in range(n_seed, n):
         if stopped or len(run.labeled) - n_seed >= stop.max_queries:
             break
@@ -414,15 +410,12 @@ def run_stream_loop(stream: Dataset, test: Dataset, config: StreamConfig,
         if i - start >= len(scores):  # used up, or dropped at the last refit
             probs = model.predict_proba_many(
                 stream.features[i:i + max(64, 2 * len(scores))])
-            scores, start = uncertainty_scores(config.measure, probs), i
+            scores = oriented(config.measure, uncertainty_scores(config.measure, probs))
+            start = i
         value = scores[i - start]
         run.select_time += run.clock() - t0
-        if config.measure == "margin":
-            useful = value <= config.threshold
-        else:
-            useful = value >= config.threshold
-        if not useful:
-            continue  # discarded permanently
+        if not value >= bar:
+            continue  # discarded permanently, as is a NaN score
         run.label([i])
         pending.append(i)
         if len(pending) == config.retrain_every:

@@ -159,7 +159,9 @@ def _check_int(value, name: str, error: type, minimum=None) -> None:
         raise error(f"{name} must be an int{bound}")
 
 
-def _check_finite(value, name: str, error: type) -> None:
-    """Raise ``error`` if ``value`` is NaN or infinite."""
+def _check_finite(value, name: str, error: type, minimum=None) -> None:
+    """Raise ``error`` unless ``value`` is finite, and >= ``minimum`` if given."""
     if not math.isfinite(value):
         raise error(f"{name} must be finite")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}")

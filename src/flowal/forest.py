@@ -31,6 +31,7 @@ from .errors import (
     InvalidCommitteeSize,
     InvalidDistribution,
     InvalidParams,
+    NonNumericValue,
     SchemaMismatch,
     _check_int,
 )
@@ -537,6 +538,8 @@ def fit_regression_forest(X, targets, params: ForestParams,
         raise EmptyTrainingSet("regression forest needs a non-empty matrix")
     if t.shape != (X.shape[0],):
         raise DimensionMismatch("one target per row required")
+    if not (np.isfinite(X).all() and np.isfinite(t).all()):
+        raise NonNumericValue(-1, "<in-memory>", "non-finite")
     trees = _grow_trees(X, t, lambda ys, w: np.column_stack([ys, ys * ys, w]),
                         _sse_of_cuts, lambda ys, w: np.mean(ys), 0.0, params,
                         seed, 3, collapse=False)

@@ -49,10 +49,7 @@ class TimingRecord:
     def __post_init__(self):
         for name in ("subset_train_time", "subset_selection_time",
                      "full_train_time"):
-            value = getattr(self, name)
-            _check_finite(value, name, InvalidParams)
-            if value < 0:
-                raise InvalidParams(f"{name} must be nonnegative")
+            _check_finite(getattr(self, name), name, InvalidParams, 0)
 
 
 def ttr(timing: TimingRecord) -> float:

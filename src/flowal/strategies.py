@@ -76,9 +76,12 @@ def _entropy_rows(P: np.ndarray) -> np.ndarray:
     # summing each row in sorted order makes the float result independent
     # of class order, so rows that are permutations of each other tie exactly
     P = np.sort(P, axis=-1)
-    # log of a zero entry is never consumed: where masks it to log(1) = 0
-    safe = np.where(P > 0, P, 1.0)
-    return -(P * np.log(safe)).sum(axis=-1)
+    # log of a zero entry is never consumed: where masks it to log(1) = 0;
+    # the log and product run in place, so only two (m, n) arrays live
+    terms = np.where(P > 0, P, 1.0)
+    np.log(terms, out=terms)
+    terms *= P
+    return -terms.sum(axis=-1)
 
 
 def uncertainty_scores(kind: str, P: np.ndarray) -> np.ndarray:
@@ -91,6 +94,11 @@ def uncertainty_scores(kind: str, P: np.ndarray) -> np.ndarray:
         part = np.sort(P, axis=1)
         return part[:, -1] - part[:, -2]
     raise InvalidParams(f"not an uncertainty kind: {kind!r}")
+
+
+def oriented(kind: str, scores):
+    """``kind``'s scores, or a threshold, turned so larger is more uncertain."""
+    return -scores if kind == "margin" else scores  # negation is exact
 
 
 def _vote_entropy_rows(votes: np.ndarray, n_classes: int) -> np.ndarray:
@@ -186,9 +194,7 @@ def information_density(base_scores, pool_features, beta: float) -> np.ndarray:
     bit-identical factors, and the factor is clamped to [0, 1] so rounding
     of a unit norm cannot push it outside.
     """
-    _check_finite(beta, "density beta", InvalidParams)
-    if beta < 0:
-        raise InvalidParams(f"density beta must be >= 0, got {beta}")
+    _check_finite(beta, "density beta", InvalidParams, 0)
     base = np.asarray(base_scores, dtype=np.float64)
     Z = np.asarray(pool_features, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] == 0:
@@ -324,9 +330,7 @@ class StrategyConfig:
         if self.kind not in STRATEGY_KINDS:
             raise InvalidParams(f"unknown strategy kind {self.kind!r}")
         _check_int(self.seed, "seed", InvalidParams)
-        _check_finite(self.beta, "beta", InvalidParams)
-        if self.beta < 0:
-            raise InvalidParams("beta must be >= 0")
+        _check_finite(self.beta, "beta", InvalidParams, 0)
         if self.kind in _QBC_KINDS:
             _check_int(self.committee_size, "committee_size", InvalidParams, 2)
         if self.base_informativeness not in UNCERTAINTY_KINDS:
@@ -404,6 +408,6 @@ def select_batch(config: StrategyConfig, state, pool: "PoolState", k: int,
     scores = score_pool(config, state, pool, lal_regressor=lal_regressor)
     if not np.isfinite(scores).all():
         raise InvalidParams("strategy produced non-finite scores")
-    key = scores if config.kind == "margin" else -scores
-    order = np.argsort(key, kind="stable")  # stable: ties keep ascending index
+    # stable: ties keep ascending index
+    order = np.argsort(-oriented(config.kind, scores), kind="stable")
     return [int(U[i]) for i in order[:k]]

@@ -462,6 +462,15 @@ class TestDatasetContainer:
         with pytest.raises(SchemaMismatch):
             Dataset(schema, [[1.0]], [2])
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [1.0, 0.0], [True, False],
+                                        np.array([0.0, 1.0])],
+                             ids=["fractions", "whole-floats", "bools", "array"])
+    def test_labels_must_be_integers(self, labels):
+        # floats would be truncated and bools read as classes 1 and 0
+        schema = FeatureSchema(("a",), ("x", "y"))
+        with pytest.raises(SchemaMismatch, match="integers"):
+            Dataset(schema, [[1.0], [2.0]], labels)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_feature_rejected(self, bad):
         schema = FeatureSchema(("a", "b"), ("x", "y"))

@@ -22,6 +22,7 @@ from flowal.errors import (
     InvalidCommitteeSize,
     InvalidDistribution,
     InvalidParams,
+    NonNumericValue,
     SchemaMismatch,
 )
 from flowal.forest import (
@@ -274,6 +275,15 @@ class TestFitForest:
             fit_forest(empty, ForestParams(), 0)
         with pytest.raises(EmptyTrainingSet):
             fit_regression_forest(np.empty((0, 2)), np.empty(0), ForestParams(), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["feature", "target"])
+    def test_regression_forest_rejects_non_finite_input(self, bad, where):
+        # a NaN would otherwise reach the leaves and every prediction
+        X, t = np.arange(8.0).reshape(4, 2), np.arange(4.0)
+        (X if where == "feature" else t)[1] = bad
+        with pytest.raises(NonNumericValue):
+            fit_regression_forest(X, t, ForestParams(n_trees=2), 0)
 
     def test_peak_memory_is_a_small_multiple_of_the_features(self, peak_bytes):
         # many features and classes, as in flow data: the split scan's

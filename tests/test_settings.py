@@ -1,4 +1,4 @@
-"""Library settings reject non-integers and non-finite numbers up front.
+"""Library settings reject non-integers, non-finite and negative numbers up front.
 
 The CLI's parsers already refuse such values; these are the same rules for
 code that builds the settings itself, or passes seeds and sizes to the
@@ -32,6 +32,7 @@ from flowal import (
     StrategyConfig,
     StreamConfig,
     SyntheticSpec,
+    TimingRecord,
     fit_committee,
     fit_forest,
     holdout_split,
@@ -138,6 +139,12 @@ BUILDERS = {
          InvalidParams),
     "information_density.beta":
         (lambda v: information_density(np.ones(3), np.eye(3), v), InvalidParams),
+    "TimingRecord.subset_train_time":
+        (lambda v: TimingRecord(v, 0.0, 1.0), InvalidParams),
+    "TimingRecord.subset_selection_time":
+        (lambda v: TimingRecord(0.0, v, 1.0), InvalidParams),
+    "TimingRecord.full_train_time":
+        (lambda v: TimingRecord(0.0, 0.0, v), InvalidParams),
 }
 
 INTEGER_SETTINGS = ("StreamConfig.retrain_every", "StreamConfig.max_label_budget",
@@ -157,6 +164,12 @@ FLOAT_SETTINGS = ("StreamConfig.threshold", "StreamConfig.seed_fraction",
                   "StrategyConfig.beta", "SyntheticSpec.noise_stddev",
                   "SyntheticSpec.class_mean_separation", "DriftSpec.mean_shift",
                   "DriftSpec.mean_shift[1]", "information_density.beta")
+NONNEGATIVE_SETTINGS = ("StreamConfig.threshold", "StoppingCriteria.time_budget",
+                        "Stabilization.epsilon", "StrategyConfig.beta",
+                        "SyntheticSpec.noise_stddev", "information_density.beta",
+                        "TimingRecord.subset_train_time",
+                        "TimingRecord.subset_selection_time",
+                        "TimingRecord.full_train_time")
 
 CASES = ([(name, value) for name in INTEGER_SETTINGS
           for value in (10.5, 2.0, True)]
@@ -185,6 +198,14 @@ def test_bad_setting_is_rejected_at_construction(nothing_draws, engine_calls,
     build, error = BUILDERS[name]
     with pytest.raises(error):
         build(value)
+    assert not any(engine_calls.values())
+
+
+@pytest.mark.parametrize("name", NONNEGATIVE_SETTINGS)
+def test_negative_real_is_rejected(nothing_draws, engine_calls, name):
+    build, error = BUILDERS[name]
+    with pytest.raises(error, match=" must be >= 0$"):
+        build(-1.0)
     assert not any(engine_calls.values())
 
 
